@@ -11,7 +11,8 @@ of standard output:
 With ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1``
 they are the per-layer ones from a traced run.  ``setup_s`` is the median
 set-up time of several processes: the measured one plus ``SETUP_PROBES``
-processes that only set up.  The full record of a run, machine facts
+processes that only set up, half started before it and half after, since the
+machine's speed drifts over seconds.  The full record of a run, machine facts
 included, is written to ``bench/out/``.
 
 This script uses the standard library only; numpy and quadfeat are loaded
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -33,8 +33,6 @@ ROOT = BENCH_DIR.parent
 OUT_DIR = BENCH_DIR / "out"
 
 WORKLOADS = ("paper-sweep", "anova-reweight", "cli-roundtrip")
-PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                  "MKL_NUM_THREADS": "1"}
 SETUP_PROBES = 8
 # every process must end well inside the 180 s a run may take
 RUN_LIMIT_S = 170.0
@@ -75,11 +73,10 @@ def run_worker(args, deadline: float, setup_only: bool) -> dict:
         cmd.append("--small")
     if setup_only:
         cmd.append("--setup-only")
-    env = dict(os.environ, **PINNED_THREADS)
     # the worker measures its set-up from this instant (CLOCK_MONOTONIC is
     # shared by all processes of the machine)
     cmd += ["--spawned-at", repr(time.monotonic())]
-    proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True,
                           text=True, timeout=max(1.0, deadline - time.monotonic()))
     sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
@@ -119,12 +116,14 @@ def main(argv=None) -> int:
     try:
         probes = 1 if args.small else SETUP_PROBES
         setups = [run_worker(args, deadline, setup_only=True)["setup_s"]
-                  for _ in range(probes)]
+                  for _ in range(probes // 2)]
         record = run_worker(args, deadline, setup_only=False)
+        setups.append(record["setup_s"])
+        setups += [run_worker(args, deadline, setup_only=True)["setup_s"]
+                   for _ in range(probes - probes // 2)]
     except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    setups.append(record["setup_s"])
     if args.trace:
         metrics = record["layer_metrics"]
     else:

@@ -5,7 +5,8 @@
 Runs ``run.py`` once per seed, one after the other, and prints for every
 metric the median, the first and third quartiles (``statistics.quantiles``
 with n=4) and the spread (Q3 - Q1) / median, plus the failed share.  The
-values of every run are saved to ``bench/out/spread-<workload>.json``.
+values of every run are saved to
+``bench/out/spread-<workload>-seeds<first>-<last>.json``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ def main() -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 3,5,11-13")
     p.add_argument("--seconds", default="30")
-    p.add_argument("--tag", default="", help="suffix for the output file")
     args = p.parse_args()
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
@@ -65,7 +65,8 @@ def main() -> int:
               f"spread {spread}")
     shares = {r["failed"] / r["attempted"] for r in runs}
     print(f"failed shares: {sorted(shares)}")
-    out = BENCH_DIR / "out" / f"spread-{args.workload}{args.tag}.json"
+    out = (BENCH_DIR / "out" /
+           f"spread-{args.workload}-seeds{seeds[0]}-{seeds[-1]}.json")
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps({"runs": runs, "summary": summary}, indent=1))
     return 0

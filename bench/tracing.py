@@ -147,18 +147,6 @@ class Span:
     counts: dict = field(default_factory=dict)
 
 
-class _NumpyWithTracedSavetxt:
-    """Stands in for ``numpy`` inside ``quadfeat.cli`` so that its
-    ``np.savetxt`` calls are traced and nothing else changes."""
-
-    def __init__(self, numpy_module, savetxt):
-        self._numpy = numpy_module
-        self.savetxt = savetxt
-
-    def __getattr__(self, name):
-        return getattr(self._numpy, name)
-
-
 def _savetxt_counts(args, kwargs, result):
     return {"cli.bytes_written": os.path.getsize(args[0])}
 
@@ -216,9 +204,9 @@ class Tracer:
         for mod_name, cls_name, attr, name, counter in METHODS:
             cls = getattr(importlib.import_module(f"quadfeat.{mod_name}"), cls_name)
             self._replace(cls, attr, self._wrap(name, cls.__dict__[attr], counter))
-        cli = importlib.import_module("quadfeat.cli")
-        savetxt = self._wrap("cli.savetxt", np.savetxt, _savetxt_counts)
-        self._replace(cli, "np", _NumpyWithTracedSavetxt(np, savetxt))
+        # quadfeat.cli.cmd_embed is the package's one caller of np.savetxt
+        self._replace(np, "savetxt",
+                      self._wrap("cli.savetxt", np.savetxt, _savetxt_counts))
 
     def uninstall(self) -> None:
         while self._undo:
