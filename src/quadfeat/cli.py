@@ -163,12 +163,10 @@ def cmd_embed(args) -> int:
     if args.d is None and not args.anova:
         args.d = ds.d
     fm, _, _ = _build_map(args, ds)
-    fast = not args.anova and can_fast_embed(fm)
-    features = embed_grid_fast(fm, ds.rows) if fast else fm.embed_batch(ds.rows)
+    features = fm.embed_batch(ds.rows)
     out = args.out or "features.csv"
     np.savetxt(out, features, delimiter=",")
-    print(f"wrote {out}: {features.shape[0]} rows x {features.shape[1]} features"
-          f" (fast={fast})")
+    print(f"wrote {out}: {features.shape[0]} rows x {features.shape[1]} features")
     return 0
 
 

@@ -305,6 +305,16 @@ def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
     return AnovaFeatureMap(tuple(sub_maps), kernel.d)
 
 
+def _build_key(method: str, D: int, seed: int) -> tuple:
+    """What a sweep cell's map depends on besides the sweep-wide settings:
+    qmc ignores the seed, dense and sparse grids ignore both D and seed."""
+    if method in ("dense", "sparse"):
+        return (method,)
+    if method == "qmc":
+        return (method, D)
+    return (method, D, seed)
+
+
 def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
     """One ErrorReport per (method, D, M, seed) cell, in config order."""
     if isinstance(config, dict):
@@ -317,7 +327,7 @@ def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
         for D in config.D:
             for M in config.M:
                 for seed in config.seeds:
-                    key = (method, D, seed)
+                    key = _build_key(method, D, seed)
                     if key not in built:
                         t0 = time.perf_counter()
                         fm = build_method_map(

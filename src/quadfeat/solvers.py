@@ -1,15 +1,28 @@
 """Non-negative least squares and the two NNLS-backed rule constructors.
 
 ``nnls`` is a Lawson-Hanson active-set solver working on the normal
-equations, with the Gram submatrix of the passive set grown incrementally
-so large candidate pools stay cheap.  On top of it sit
+equations.  It keeps the inverse of the passive Gram matrix M_P'M_P in a
+preallocated buffer and updates it in place: a column entering the
+passive set borders the inverse through its Schur complement, a column
+leaving it is removed by a rank-one downdate.  One outer step therefore
+costs O(nk + k^2) on top of the O(np) gradient, with k the passive-set
+size, and no p x p Gram matrix is ever formed.  Each passive solve is
+refined once against M_P so that update errors do not accumulate.  A
+column that is numerically dependent on the passive set is passed over
+for that step, as in Lawson & Hanson (1974, ch. 23); under an l1 penalty
+it is instead exchanged for a passive column, which keeps the fit and
+lowers the penalty.
+
+On top of it sit
 
 * ``construct_poly_exact``: random spectral candidates reweighted to match
   every normal moment of total degree <= R, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared kernel error over sampled pairs, with an optional l1 penalty
   (folded into the linear term of the KKT system) and a bisection on the
-  penalty to hit a target support size.
+  penalty to hit a target support size.  The bisection warm-starts every
+  solve from the support of the previous solve on the same system
+  (Bro & De Jong 1997), since neighbouring penalties have nearby supports.
 
 Reweighted grids keep their fitted scale: the least-squares objective
 governs, so the weights are deliberately not renormalized to sum to 1.
@@ -31,6 +44,10 @@ from .grids import (
 )
 from .kernels import AnovaKernel, GaussianKernel, kernel_values
 
+# an entering column whose Schur complement is below this fraction of its
+# squared norm lies numerically in the span of the passive columns
+_DEPENDENT = 1e-12
+
 
 @dataclass(frozen=True)
 class NnlsSolution:
@@ -45,10 +62,11 @@ class NnlsSolution:
 
 def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
          max_iter: Optional[int] = None) -> NnlsSolution:
-    """Lawson-Hanson NNLS.
+    """Lawson-Hanson NNLS with an updated inverse of the passive Gram matrix.
 
     KKT at exit: gradient components on the support vanish to within
-    ``tol * ||M^T b||`` and are non-negative off the support.  Raises
+    ``tol * ||M^T b||`` and are non-negative off the support, except on
+    columns numerically dependent on the support.  Raises
     ConvergenceError (best iterate attached) past ``max_iter`` outer
     iterations, default 3p.
     """
@@ -56,9 +74,96 @@ def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                           shift=0.0, tol=tol, max_iter=max_iter)
 
 
+class _PassiveSet:
+    """Passive columns of M and the inverse of their Gram matrix.
+
+    ``rows[:k]`` holds the passive columns as contiguous rows and
+    ``inv[:k, :k]`` the inverse of ``rows[:k] @ rows[:k].T``; both live in
+    buffers sized for the largest possible passive set, min(n, p).
+    """
+
+    def __init__(self, MT: np.ndarray, b: np.ndarray, f: np.ndarray, shift: float):
+        p, n = MT.shape
+        cap = min(n, p)
+        self.MT, self.b, self.f, self.shift = MT, b, f, shift
+        self.idx = np.empty(cap, dtype=np.intp)
+        self.rows = np.empty((cap, n))
+        self.inv = np.empty((cap, cap))
+        self.k = 0
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.idx[:self.k]
+
+    def add(self, j: int) -> Optional[np.ndarray]:
+        """Border the inverse with column j.  If j is numerically dependent
+        on the passive columns, leave the set unchanged and return the
+        coefficients h with M_j = M_P h."""
+        k = self.k
+        col = self.MT[j]
+        g = float(col @ col)
+        c = self.rows[:k] @ col
+        h = self.inv[:k, :k] @ c
+        s = g - float(c @ h)
+        if k == self.idx.size or not s > _DEPENDENT * g:
+            return h
+        self.inv[:k, :k] += np.outer(h / s, h)
+        self.inv[:k, k] = self.inv[k, :k] = -h / s
+        self.inv[k, k] = 1.0 / s
+        self.rows[k] = col
+        self.idx[k] = j
+        self.k = k + 1
+        return None
+
+    def remove(self, positions: np.ndarray) -> None:
+        """Drop the passive columns at ``positions`` by rank-one downdates."""
+        for i in np.sort(positions)[::-1]:
+            last = self.k - 1
+            if i != last:
+                # move column i to the end, then peel off the last row/column
+                swap = [i, last]
+                self.inv[swap, :self.k] = self.inv[swap[::-1], :self.k]
+                self.inv[:self.k, swap] = self.inv[:self.k, swap[::-1]]
+                self.rows[swap] = self.rows[swap[::-1]]
+                self.idx[swap] = self.idx[swap[::-1]]
+            e = self.inv[:last, last]
+            self.inv[:last, :last] -= np.outer(e / self.inv[last, last], e)
+            self.k = last
+
+    def reset(self, start: np.ndarray) -> bool:
+        """Make ``start`` the passive set, inverting its Gram matrix afresh;
+        False (and the set left empty) if that matrix is singular."""
+        k = start.size
+        self.idx[:k] = start
+        np.take(self.MT, start, axis=0, out=self.rows[:k])
+        try:
+            self.inv[:k, :k] = np.linalg.inv(self.rows[:k] @ self.rows[:k].T)
+        except np.linalg.LinAlgError:
+            return False
+        self.k = k
+        return True
+
+    def solve(self) -> np.ndarray:
+        """Least-squares coefficients on the passive set, refined once."""
+        P, H = self.rows[:self.k], self.inv[:self.k, :self.k]
+        z = H @ self.f[self.indices]
+        z += H @ (P @ (self.b - P.T @ z) - self.shift)
+        return z
+
+    def fit(self, z: np.ndarray) -> np.ndarray:
+        """M_P z, the fitted values of passive coefficients z."""
+        return self.rows[:self.k].T @ z
+
+
 def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
-                   tol: float, max_iter: Optional[int]) -> NnlsSolution:
-    """Minimize 0.5||Ma - b||^2 + shift * 1'a subject to a >= 0."""
+                   tol: float, max_iter: Optional[int],
+                   start: Optional[np.ndarray] = None) -> NnlsSolution:
+    """Minimize 0.5||Ma - b||^2 + shift * 1'a subject to a >= 0.
+
+    ``start`` is an optional initial passive set.  Non-positive
+    coefficients are dropped from it until the least-squares fit on the
+    rest is strictly positive, which is a valid Lawson-Hanson iterate.
+    """
     if M.ndim != 2 or b.shape != (M.shape[0],):
         raise ValueError("M must be (n, p) and b length n")
     if tol <= 0:
@@ -66,12 +171,12 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
     n, p = M.shape
     if max_iter is None:
         max_iter = 3 * p
-    f = M.T @ b - shift
+    MT = np.ascontiguousarray(M.T)
+    f = MT @ b - shift
     scale = float(np.linalg.norm(f)) or 1.0
     a = np.zeros(p)
-    passive: list[int] = []
-    Gsub = np.zeros((0, 0))
     Ma = np.zeros(n)
+    ps = _PassiveSet(MT, b, f, shift)
     objectives: list[float] = []
     outer = 0
 
@@ -80,31 +185,53 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
         return 0.5 * float(r @ r) + shift * float(a.sum())
 
     def solution():
-        active = tuple(i for i in range(p) if a[i] == 0.0)
+        active = tuple(np.flatnonzero(a == 0.0).tolist())
         return NnlsSolution(a.copy(), float(np.linalg.norm(Ma - b)), active,
                             outer, tuple(objectives))
 
+    if start is not None and ps.reset(np.asarray(start, dtype=np.intp)):
+        while ps.k:
+            z = ps.solve()
+            if z.min() > 0.0:
+                a[ps.indices] = z
+                Ma = ps.fit(z)
+                break
+            ps.remove(np.flatnonzero(z <= 0.0))
+
     while True:
         objectives.append(current_objective())
-        w = f - M.T @ Ma
-        mask = np.ones(p, dtype=bool)
-        mask[passive] = False
-        if not mask.any() or w[mask].max() <= tol * scale:
+        w = f - MT @ Ma
+        w[ps.indices] = -np.inf
+        if not p or w.max() <= tol * scale:
             return solution()
+        j = int(np.argmax(w))
         if outer >= max_iter:
             raise ConvergenceError(
                 f"NNLS did not converge within {max_iter} iterations",
                 iterations=outer, best=solution())
         outer += 1
-        j = int(np.flatnonzero(mask)[np.argmax(w[mask])])
-        col = M[:, j]
-        if passive:
-            cross = M[:, passive].T @ col
-            Gsub = np.block([[Gsub, cross[:, None]],
-                             [cross[None, :], np.array([[col @ col]])]])
-        else:
-            Gsub = np.array([[col @ col]])
-        passive.append(j)
+        while (h := ps.add(j)) is not None:
+            P = ps.indices
+            if shift > 0.0 and h.max() > 0.0:
+                # w_P = 0 gives w_j = shift (1'h - 1) > 0: trading the
+                # combination h for column j keeps the fit and lowers the
+                # penalty until a passive coefficient reaches zero
+                pos = np.flatnonzero(h > 0.0)
+                ratios = a[P][pos] / h[pos]
+                t = float(ratios.min())
+                ap = a[P] - t * h
+                ap[pos[np.argmin(ratios)]] = 0.0
+                keep = ap > 1e-15 * float(ap.max())
+                a[P] = np.where(keep, ap, 0.0)
+                a[j] += t
+                ps.remove(np.flatnonzero(~keep))
+                continue
+            # Lawson & Hanson's rule: a dependent column cannot lower the
+            # unpenalized objective, so it is passed over for this step
+            w[j] = -np.inf
+            j = int(np.argmax(w))
+            if w[j] <= tol * scale:
+                return solution()
 
         inner = 0
         while True:
@@ -112,30 +239,21 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
             if inner > p + 1:
                 raise ConvergenceError(
                     "NNLS inner loop cycled", iterations=outer, best=solution())
-            try:
-                z = np.linalg.solve(Gsub, f[passive])
-            except np.linalg.LinAlgError:
-                z, *_ = np.linalg.lstsq(Gsub, f[passive], rcond=None)
+            z = ps.solve()
+            P = ps.indices
             if z.min() > 0.0:
-                a[:] = 0.0
-                a[passive] = z
+                a[P] = z
                 break
-            ap = a[passive]
+            ap = a[P]
             neg = z <= 0.0
             alpha = float(np.min(ap[neg] / (ap[neg] - z[neg])))
             ap = ap + alpha * (z - ap)
             keep = ap > 1e-15 * float(np.abs(ap).max())
-            a[:] = 0.0
-            for pos, idx in enumerate(passive):
-                if keep[pos]:
-                    a[idx] = ap[pos]
-            drop = np.flatnonzero(~keep)
-            Gsub = np.delete(np.delete(Gsub, drop, axis=0), drop, axis=1)
-            passive = [idx for pos, idx in enumerate(passive) if keep[pos]]
-            if not passive:
-                Ma = np.zeros(n)
+            a[P] = np.where(keep, ap, 0.0)
+            ps.remove(np.flatnonzero(~keep))
+            if not ps.k:
                 break
-        Ma = M[:, passive] @ a[passive] if passive else np.zeros(n)
+        Ma = ps.fit(a[ps.indices])
 
 
 def construct_poly_exact(d: int, R: int, D: int, seed: int,
@@ -148,7 +266,9 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int,
     right-hand side the analytic normal moment) by NNLS.  Candidates with
     zero weight are dropped.  Raises ConstructionError, carrying the
     achieved residual, when the worst constraint violation exceeds
-    ``exact_tol``; the caller may raise D and retry.
+    ``exact_tol``, or when the weight sum (the degree-0 row) is off by
+    more than the 1e-10 that ``GridQuadrature`` allows; the caller may
+    raise D and retry.
     """
     if d < 1 or D < 1:
         raise ValueError("d and D must be positive")
@@ -169,6 +289,12 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int,
             f"> {exact_tol:.1e} (d={d}, R={R}, D={D})",
             residual=residual)
     keep = sol.a > 0.0
+    weight_gap = float(sol.a[keep].sum()) - 1.0
+    if abs(weight_gap) > 1e-10:
+        raise ConstructionError(
+            f"poly-exact weights sum to 1 {weight_gap:+.3e}, beyond the 1e-10 "
+            f"a normalized rule allows (d={d}, R={R}, D={D})",
+            residual=abs(weight_gap))
     return GridQuadrature(
         points[keep], sol.a[keep],
         provenance=f"poly_exact(d={d}, R={R}, D={D}, seed={seed}, "
@@ -212,18 +338,22 @@ def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
 
 
 def _solve_reweight(candidates: GridQuadrature, system: np.ndarray,
-                    targets: np.ndarray, lam: float) -> GridQuadrature:
+                    targets: np.ndarray, lam: float,
+                    start: Optional[np.ndarray] = None
+                    ) -> tuple[GridQuadrature, np.ndarray]:
+    """The fitted grid and the candidate indices of its support."""
     n = system.shape[0]
     # (1/n)||Ma-b||^2 + lam 1'a  ==  (2/n) * (0.5||Ma-b||^2 + (n lam / 2) 1'a)
     sol = _lawson_hanson(system, targets, shift=0.5 * n * lam,
-                         tol=1e-10, max_iter=None)
-    keep = sol.a > 0.0
+                         tol=1e-10, max_iter=None, start=start)
+    keep = np.flatnonzero(sol.a > 0.0)
     mse = sol.residual_norm**2 / n
-    return GridQuadrature(
+    grid = GridQuadrature(
         candidates.points[keep], sol.a[keep], normalized=False,
         provenance=f"reweighted(lam={lam!r}, n={n}, "
                    f"sum_a={sol.a.sum()!r}, mse={mse!r}) "
                    f"of {candidates.provenance}")
+    return grid, keep
 
 
 def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
@@ -242,7 +372,7 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     if not candidates.nonnegative:
         raise ValueError("candidate grids must have non-negative weights")
     system, targets = _reweight_system(candidates, pairs, kernel, gamma)
-    return _solve_reweight(candidates, system, targets, lam)
+    return _solve_reweight(candidates, system, targets, lam)[0]
 
 
 @dataclass(frozen=True)
@@ -270,7 +400,8 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     Support shrinkage in lam is an empirical observation, not a theorem,
     so the result carries a bracket certificate instead of assuming
     monotonicity.  The number of bisection steps is fixed (default 30)
-    for determinism.
+    for determinism.  Each penalized solve starts from the support of the
+    previous one, so it only adds and drops the columns that differ.
 
     With ``refit_support`` (the default) the penalty only selects the
     support: the returned weights are refit at lam = 0 restricted to the
@@ -283,12 +414,17 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     if lam_hi <= 0:
         raise ValueError("lam_hi must be positive")
     system, targets = _reweight_system(candidates, pairs, kernel, gamma)
-    base = _solve_reweight(candidates, system, targets, 0.0)
+    base, last = _solve_reweight(candidates, system, targets, 0.0)
     if base.count <= target_D:
         return BisectResult(0.0, base, None, None)
 
+    def solve(lam: float) -> tuple[GridQuadrature, np.ndarray]:
+        nonlocal last
+        grid, last = _solve_reweight(candidates, system, targets, lam, start=last)
+        return grid, last
+
     hi = lam_hi
-    sol_hi = _solve_reweight(candidates, system, targets, hi)
+    sol_hi, keep_hi = solve(hi)
     doublings = 0
     while sol_hi.count > target_D:
         doublings += 1
@@ -297,33 +433,27 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
                 "penalty doubling failed to shrink the support",
                 iterations=doublings, best=sol_hi)
         hi *= 2.0
-        sol_hi = _solve_reweight(candidates, system, targets, hi)
+        sol_hi, keep_hi = solve(hi)
 
     lo, nnz_lo = 0.0, base.count
-    best_lam, best = hi, sol_hi
+    best_lam, best, best_keep = hi, sol_hi, keep_hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        sol_mid = _solve_reweight(candidates, system, targets, mid)
+        sol_mid, keep_mid = solve(mid)
         if sol_mid.count <= target_D:
             hi = mid
             if sol_mid.count > best.count or (sol_mid.count == best.count
                                               and mid < best_lam):
-                best_lam, best = mid, sol_mid
+                best_lam, best, best_keep = mid, sol_mid, keep_mid
         else:
             lo, nnz_lo = mid, sol_mid.count
     if refit_support and best.count > 0:
-        keep = _support_indices(candidates, best)
-        support = GridQuadrature(candidates.points[keep],
-                                 np.full(keep.size, 1.0 / keep.size),
+        support = GridQuadrature(candidates.points[best_keep],
+                                 np.full(best_keep.size, 1.0 / best_keep.size),
                                  provenance=candidates.provenance)
-        refit = _solve_reweight(support, system[:, keep], targets, 0.0)
+        refit, _ = _solve_reweight(support, system[:, best_keep], targets, 0.0,
+                                   start=np.arange(best_keep.size))
         best = GridQuadrature(
             refit.points, refit.weights, normalized=False,
             provenance=best.provenance + " refit(lam=0 on selected support)")
     return BisectResult(best_lam, best, lo, nnz_lo)
-
-
-def _support_indices(candidates: GridQuadrature, grid: GridQuadrature) -> np.ndarray:
-    """Rows of ``candidates.points`` present in ``grid.points`` (exact match)."""
-    lookup = {tuple(row): i for i, row in enumerate(candidates.points)}
-    return np.array([lookup[tuple(row)] for row in grid.points], dtype=int)

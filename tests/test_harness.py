@@ -191,6 +191,33 @@ class TestSweep:
         # the requested D is ignored for level-built grids
         assert reports[0].D == sparse_grid(2, 4).count != 999
 
+    def test_builds_each_map_once(self, monkeypatch):
+        from quadfeat import harness
+        real = harness.build_method_map
+        calls = []
+
+        def counting(method, *args, **kwargs):
+            calls.append(method)
+            return real(method, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_method_map", counting)
+        config = {"methods": ["qmc", "sparse"], "d": 3, "gamma": 0.5,
+                  "D": [16, 32], "M": [0.5], "seeds": [0, 1, 2],
+                  "n_eval": 500, "level": 2}
+        reports = sweep(config)
+        # qmc depends on D only, the sparse grid on neither D nor seed
+        assert sorted(calls) == ["qmc", "qmc", "sparse"]
+        assert len(reports) == 2 * 2 * 3
+        # every row is what a fresh build for its own cell gives
+        kernel = GaussianKernel(0.5)
+        cells = [(m, D, s) for m in ("qmc", "sparse") for D in (16, 32)
+                 for s in (0, 1, 2)]
+        for row, (method, D, seed) in zip(reports, cells):
+            fm = real(method, 3, D, 0.5, seed, level=2)
+            assert (row.method, row.D, row.seed) == (method, fm.count, seed)
+            assert (row.max_err, row.rms_err) == error_stats(
+                fm, kernel, 0.5, 500, seed)
+
 
 def test_build_anova_map_counts():
     kernel = random_anova(d=12, m=6, subset_size=3, gamma=0.25, seed=11)

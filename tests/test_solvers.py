@@ -1,15 +1,20 @@
 """Tests for NNLS and the NNLS-backed rule constructors."""
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from quadfeat import solvers
 from quadfeat.errors import ConstructionError, ConvergenceError
 from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
     exactness_residual,
+    moment_multi_indices,
+    moment_targets,
+    monomial_matrix,
     subsample_dense_grid,
     subsample_grid,
 )
@@ -130,6 +135,20 @@ class TestConstructPolyExact:
         with pytest.raises(ConstructionError) as exc:
             construct_poly_exact(4, 2, 3, seed=0)
         assert exc.value.residual > 1e-8
+
+    def test_weight_sum_gap_is_a_construction_error(self, monkeypatch):
+        # moment residual 5e-10 passes exact_tol, but a normalized rule
+        # allows only 1e-10 on the weight sum
+        real = solvers.nnls
+
+        def off_by_5e10(M, b, **kwargs):
+            sol = real(M, b, **kwargs)
+            return dataclasses.replace(sol, a=sol.a * (1.0 + 5e-10))
+
+        monkeypatch.setattr(solvers, "nnls", off_by_5e10)
+        with pytest.raises(ConstructionError) as exc:
+            construct_poly_exact(3, 2, 40, seed=0)
+        assert exc.value.residual == pytest.approx(5e-10, rel=1e-3)
 
 
 def synthetic_reweight_problem(seed=0, n=60, d=2, pool=40):
@@ -262,3 +281,128 @@ class TestBisectLambda:
             return np.mean((b - np.cos(U @ (g.points * 1.0).T) @ g.weights) ** 2)
 
         assert mse(refit.grid) <= mse(raw.grid) + 1e-12
+
+
+def recorded_bisection(monkeypatch, candidates, pairs, kernel, target,
+                       cold=False):
+    """Run bisect_lambda, recording every NNLS call; ``cold`` drops the
+    warm starts."""
+    real = solvers._lawson_hanson
+    calls = []
+
+    def recording(M, b, shift, tol, max_iter, start=None):
+        sol = real(M, b, shift, tol, max_iter, start=None if cold else start)
+        calls.append((M, b, shift, start, sol))
+        return sol
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_lawson_hanson", recording)
+        res = bisect_lambda(candidates, pairs, kernel, target)
+    return res, calls
+
+
+def penalized_objective(M, b, shift, a):
+    r = M @ a - b
+    return 0.5 * float(r @ r) + shift * float(a.sum())
+
+
+class TestWarmStart:
+    """The warm-started bisection against cold solves of the same systems."""
+
+    CASES = [dict(seed=23, n=100, pool=60), dict(seed=29, n=100, pool=60),
+             dict(seed=3, n=200, pool=120, d=3)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_warm_and_cold_solves_agree_along_the_bisection(self, monkeypatch,
+                                                            case):
+        candidates, pairs, kernel = synthetic_reweight_problem(**case)
+        target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
+        _, calls = recorded_bisection(monkeypatch, candidates, pairs, kernel,
+                                      target)
+        warm = [c for c in calls if c[3] is not None]
+        assert len(warm) >= 30
+        for M, b, shift, _, sol in warm:
+            cold = solvers._lawson_hanson(M, b, shift, 1e-10, None)
+            np.testing.assert_array_equal(sol.a > 0, cold.a > 0)
+            ours = penalized_objective(M, b, shift, sol.a)
+            ref = penalized_objective(M, b, shift, cold.a)
+            assert abs(ours - ref) <= 1e-12 * abs(ref)
+            assert sol.iterations <= cold.iterations
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bisection_matches_an_all_cold_run(self, monkeypatch, case):
+        candidates, pairs, kernel = synthetic_reweight_problem(**case)
+        target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
+        warm, _ = recorded_bisection(monkeypatch, candidates, pairs, kernel,
+                                     target)
+        cold, _ = recorded_bisection(monkeypatch, candidates, pairs, kernel,
+                                     target, cold=True)
+        assert (warm.lam, warm.lam_below, warm.nnz_below) == (
+            cold.lam, cold.lam_below, cold.nnz_below)
+        np.testing.assert_array_equal(warm.grid.points, cold.grid.points)
+        # near-singular systems: equal fits need not have equal weights
+        U = pairs[0] - pairs[1]
+        b = kernel.value(U)
+        M = np.cos(U @ (warm.grid.points * np.sqrt(2.0 * kernel.gamma)).T)
+        ours = penalized_objective(M, b, 0.0, warm.grid.weights)
+        ref = penalized_objective(M, b, 0.0, cold.grid.weights)
+        assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+    def test_start_with_non_positive_coefficients_is_pruned(self):
+        rng = np.random.default_rng(43)
+        M = rng.standard_normal((30, 20))
+        b = rng.standard_normal(30)
+        cold = nnls(M, b)
+        # a start set that mixes the optimal support with columns that
+        # would fit with negative coefficients
+        start = np.arange(20)
+        warm = solvers._lawson_hanson(M, b, 0.0, 1e-10, None, start=start)
+        np.testing.assert_array_equal(warm.a > 0, cold.a > 0)
+        assert warm.residual_norm == pytest.approx(cold.residual_norm,
+                                                   rel=1e-12)
+
+
+class TestKktOnHardSystems:
+    """Acceptance 08's KKT bound on the systems the constructors solve."""
+
+    def test_penalized_systems_wider_than_tall(self):
+        # with p > n the passive set fills up, and a penalized optimum may
+        # need a column that is a combination of passive ones
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for _ in range(300):
+            n, p = int(rng.integers(2, 5)), int(rng.integers(3, 9))
+            M = rng.standard_normal((n, p))
+            b = 3.0 * rng.standard_normal(n)
+            shift = float(rng.uniform(0.0, 0.5)) * np.abs(M.T @ b).max()
+            sol = solvers._lawson_hanson(M, b, shift, 1e-10, None)
+            grad = M.T @ (M @ sol.a - b) + shift
+            scale = np.linalg.norm(M.T @ b - shift)
+            on = np.abs(grad[sol.a > 0]).max(initial=0.0)
+            off = max(0.0, -grad[sol.a == 0].min(initial=0.0))
+            worst = max(worst, on / scale, off / scale)
+        assert worst <= 1e-8
+
+    def test_poly_exact_system(self):
+        rng = np.random.default_rng(0)
+        indices = moment_multi_indices(25, 2)
+        M = monomial_matrix(rng.standard_normal((1351, 25)), indices)
+        b = moment_targets(indices)
+        assert M.shape == (351, 1351)
+        sol = nnls(M, b, tol=1e-13)
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+
+    def test_near_singular_cos_system(self):
+        # +w and -w give identical cos columns, and the lattice has both
+        rng = np.random.default_rng(1)
+        candidates = subsample_dense_grid(8, 5, 160, seed=1)
+        U = rng.standard_normal((500, 5)) * 1.5
+        M = np.cos(U @ (candidates.points * np.sqrt(0.2)).T)
+        b = GaussianKernel(0.1).value(U)
+        assert np.linalg.cond(M) > 1e12
+        sol = nnls(M, b)
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
