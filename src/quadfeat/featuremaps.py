@@ -6,7 +6,13 @@ stored points, so one grid serves every bandwidth.  The kernel estimate is
 
     k~(x - y) = sum_i a_i cos(w_i'(x - y)),
 
-which works for signed weights too, while the explicit real embedding
+which works for signed weights too.  Dense and Smolyak grids carry a
+record of the rule they expand, and for them the estimate is computed in
+factored form by ``grids.structured_cos_sum`` (a product, or a signed sum
+of products, of one-dimensional cosine sums).  Every other rule takes the
+generic path, one cosine per point per displacement, computed in blocks
+of displacements through one reused phase buffer.  The explicit real
+embedding
 
     z(x) = [sqrt(a_i) cos(w_i'x)]_i ++ [sqrt(a_i) sin(w_i'x)]_i
 
@@ -25,13 +31,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmbeddingUnsupportedError
-from .grids import GridQuadrature, grid_from_json, grid_to_json, subsample_dense_grid
+from .grids import (
+    GridQuadrature,
+    grid_from_json,
+    grid_to_json,
+    structured_cos_sum,
+    subsample_dense_grid,
+)
 from .kernels import AnovaKernel
 
 METHOD_TAGS = ("rff", "qmc", "dense", "sparse", "subsampled", "poly_exact",
                "reweighted", "anova")
 
 MAX_DISTINCT_VALUES = 64
+
+# phase entries (displacements x points) the generic estimator holds at once
+PHASE_BUFFER = 2**20
 
 
 @dataclass(frozen=True)
@@ -68,24 +83,38 @@ class FeatureMap:
                 "use approx_kernel instead")
         return np.sqrt(self.grid.weights)
 
-    def approx(self, u: np.ndarray, chunk: int = 0) -> float | np.ndarray:
-        """k~ at displacement(s) u, shape (d,) or (n, d)."""
+    def approx(self, u: np.ndarray) -> float | np.ndarray:
+        """k~ at displacement(s) u, shape (d,) or (n, d).
+
+        Factored from ``grid.structure`` when the grid has one, otherwise
+        summed over the points.
+        """
         u = np.asarray(u, dtype=float)
         single = u.ndim == 1
         U = np.atleast_2d(u)
         if U.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {U.shape[1]}")
-        if self.count == 0:
+        if self.grid.structure is not None:
+            out = structured_cos_sum(self.grid.structure,
+                                     U * math.sqrt(2.0 * self.gamma))
+        elif self.count == 0:
             out = np.zeros(U.shape[0])
-            return float(out[0]) if single else out
-        if chunk <= 0:
-            chunk = max(1, 8_000_000 // max(self.count, 1))
-        out = np.empty(U.shape[0])
-        for start in range(0, U.shape[0], chunk):
-            block = U[start:start + chunk]
-            out[start:start + chunk] = (
-                np.cos(block @ self.frequencies.T) @ self.grid.weights)
+        else:
+            out = self._approx_points(U)
         return float(out[0]) if single else out
+
+    def _approx_points(self, U: np.ndarray) -> np.ndarray:
+        rows = max(1, min(U.shape[0], PHASE_BUFFER // self.count))
+        F = self.frequencies.T
+        P = np.empty((rows, self.count))
+        out = np.empty(U.shape[0])
+        for start in range(0, U.shape[0], rows):
+            block = U[start:start + rows]
+            phases = P[:block.shape[0]]
+            np.matmul(block, F, out=phases)
+            np.cos(phases, out=phases)
+            out[start:start + rows] = phases @ self.grid.weights
+        return out
 
     def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
         """k~(x, y) = sum_i a_i cos(w_i'(x - y))."""
@@ -225,11 +254,6 @@ def qmc_halton(d: int, D: int, gamma: float) -> FeatureMap:
     grid = GridQuadrature(points, np.full(D, 1.0 / D),
                           provenance=f"qmc_halton(d={d}, D={D})")
     return FeatureMap(grid, "qmc", gamma)
-
-
-def grid_feature_map(grid: GridQuadrature, method: str, gamma: float) -> FeatureMap:
-    """Package an existing grid; thin alias kept for symmetry with rff/qmc."""
-    return FeatureMap(grid, method, gamma)
 
 
 def subsampled_feature_map(L: int, d: int, D: int, gamma: float,

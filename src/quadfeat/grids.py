@@ -16,13 +16,20 @@ Hermite nodes of different sizes never coincide (only the size-1 rule has
 a node at zero and the 2^m sizes are even), so sparse-grid merging only
 ever combines bitwise-identical coordinates produced by the cached
 one-dimensional rules.
+
+The dense and Smolyak constructors also record the rule they expand in the
+grid's ``structure`` field, and ``structured_cos_sum`` evaluates the kernel
+estimate sum_i a_i cos(w_i'v) from that record as a product (dense) or a
+signed sum of products (Smolyak) of one-dimensional cosine sums, without
+touching the materialized points.  The record is not serialized, and every
+grid derived from another (subsampled, reweighted, loaded) carries none.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +50,15 @@ class GridQuadrature:
     records the sign status.  ``normalized`` tracks whether the weights
     are contracted to sum to 1 (true for every constructor except the
     data-reweighted one, whose least-squares objective sets the scale).
+    ``structure`` is set only by ``dense_grid`` (``("dense", L)``) and
+    ``sparse_grid`` (``("sparse", A)``); see ``structured_cos_sum``.
     """
 
     points: np.ndarray
     weights: np.ndarray
     provenance: str = ""
     normalized: bool = True
+    structure: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -112,12 +122,51 @@ def dense_grid(L: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     weights = rule.weights
     for _ in range(d - 1):
         weights = np.multiply.outer(weights, rule.weights)
-    return GridQuadrature(points, weights.ravel(), provenance=f"dense(L={L}, d={d})")
+    g = GridQuadrature(points, weights.ravel(), provenance=f"dense(L={L}, d={d})")
+    object.__setattr__(g, "structure", ("dense", L))
+    return g
 
 
 def _level_rule(m: int):
     """Rule backing level m of the sparse construction: size 2^m, level 0 is size 1."""
     return gauss_hermite(1 if m == 0 else 2**m)
+
+
+def _cos_sum_1d(rule, V: np.ndarray) -> np.ndarray:
+    """g(t) = sum_l a_l cos(x_l t) of a one-dimensional rule, elementwise in V."""
+    out = np.zeros_like(V)
+    for x, a in zip(rule.nodes, rule.weights):
+        out += a * np.cos(x * V)
+    return out
+
+
+def structured_cos_sum(structure: tuple, V: np.ndarray) -> np.ndarray:
+    """sum_i a_i cos(w_i'v) for each row v of the (n, d) array V, from a
+    grid's ``structure`` record instead of its points.
+
+    ``("dense", L)``: the tensor rule factors over coordinates, giving
+    prod_j g_L(v_j) at n d L cosines.  ``("sparse", A)``: the Smolyak sum
+    sum_{|m| <= A} prod_j Delta_{m_j}(v_j), with Delta_0 = 1 and
+    Delta_m = g_{2^m} - g_{2^{m-1}} (g_1 = 1), is accumulated one
+    coordinate at a time by total level (Smolyak 1963; Gerstner & Griebel
+    1998), at n d (2^{A+1} - 2) cosines and O(d A^2) products per row.
+    """
+    kind, level = structure
+    if kind == "dense":
+        return np.prod(_cos_sum_1d(gauss_hermite(level), V), axis=1)
+    # level 0 is the one-point rule at the origin, so g_1 = 1
+    g = np.stack([np.ones_like(V)] + [_cos_sum_1d(_level_rule(m), V)
+                                      for m in range(1, level + 1)], axis=2)
+    delta = g[:, :, 1:] - g[:, :, :-1]
+    # T[:, r] sums prod_j Delta_{m_j}(v_j) over the coordinates seen so far,
+    # for the multi-indices of total level exactly r
+    T = np.zeros((V.shape[0], level + 1))
+    T[:, 0] = 1.0
+    for j in range(V.shape[1]):
+        prev = T.copy()
+        for m in range(1, level + 1):
+            T[:, m:] += prev[:, :level + 1 - m] * delta[:, j, m - 1:m]
+    return T.sum(axis=1)
 
 
 def _level_multi_indices(d: int, A: int):
@@ -186,7 +235,9 @@ def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     weights = np.array([v for _, v in items])
     if points.shape[0] > bound:
         raise AssertionError("sparse grid exceeded its theoretical count bound")
-    return GridQuadrature(points, weights, provenance=f"sparse(A={A}, d={d})")
+    g = GridQuadrature(points, weights, provenance=f"sparse(A={A}, d={d})")
+    object.__setattr__(g, "structure", ("sparse", A))
+    return g
 
 
 def subsample_grid(g: GridQuadrature, D: int, seed: int) -> GridQuadrature:

@@ -1,5 +1,6 @@
 """Tests for dataset handling, error measurement, and sweeps."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,7 @@ class TestSweep:
 
         def counting(method, *args, **kwargs):
             calls.append(method)
+            time.sleep(0.005)  # every build takes at least 5 ms
             return real(method, *args, **kwargs)
 
         monkeypatch.setattr(harness, "build_method_map", counting)
@@ -217,6 +219,12 @@ class TestSweep:
             assert (row.method, row.D, row.seed) == (method, fm.count, seed)
             assert (row.max_err, row.rms_err) == error_stats(
                 fm, kernel, 0.5, 500, seed)
+        # only the row that built a map carries its build time
+        built_rows = [(m == "qmc" and s == 0) or (m, D, s) == ("sparse", 16, 0)
+                      for m, D, s in cells]
+        assert [r.build_ms >= 5 for r in reports] == built_rows
+        assert all(r.build_ms == 0
+                   for r, built in zip(reports, built_rows) if not built)
 
 
 def test_build_anova_map_counts():
