@@ -53,11 +53,9 @@ from .kernels import (
 )
 from .quad1d import (
     QuadratureRule1D,
-    SymTriDiag,
     gauss_hermite,
     integrate_1d,
     normal_moment,
-    sym_tridiag_eigen,
 )
 from .solvers import (
     BisectResult,

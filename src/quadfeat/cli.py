@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: build (construct and serialize a feature map), eval (error
-report for one map), sweep (methods x parameters grid to CSV), embed
-(dataset to feature CSV), bench (embed vs the grid-structured fast path).
+report for one map), sweep (methods x parameters grid to CSV) and embed
+(dataset to feature CSV, through ``FeatureMap.embed_batch``).
 """
 from __future__ import annotations
 
@@ -13,11 +13,10 @@ import time
 
 import numpy as np
 
-from .featuremaps import can_fast_embed, embed_grid_fast, save_feature_map
+from .featuremaps import save_feature_map
 from .harness import (
     CLI_METHODS,
     REPORT_HEADER,
-    Dataset,
     ErrorReport,
     SweepConfig,
     build_anova_map,
@@ -170,42 +169,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.data:
-        ds = load_csv(args.data)
-        if args.d is None:
-            args.d = ds.d
-    else:
-        if args.d is None:
-            raise SystemExit("bench requires --data or --d")
-        rng = np.random.default_rng(args.seed)
-        ds = Dataset(rng.standard_normal((2000, args.d)))
-    rows = ds.rows
-    fm, _, _ = _build_map(args, ds)
-    fast_ok = can_fast_embed(fm)
-    t0 = time.perf_counter()
-    plain = fm.embed_batch(rows)
-    plain_ms = round_ms(t0)
-    t1 = time.perf_counter()
-    fast = embed_grid_fast(fm, rows)
-    fast_ms = round_ms(t1)
-    dev = float(np.abs(plain - fast).max())
-    print(f"method={fm.method} d={fm.d} D={fm.count} rows={rows.shape[0]}")
-    print(f"embed_ms={plain_ms} embed_grid_fast_ms={fast_ms} "
-          f"fast_path={fast_ok} max_abs_deviation={dev:.3e}")
-    if not fast_ok:
-        print("warning: distinct-value cap exceeded; fast path fell back to embed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="quadfeat",
         description="Quadrature feature maps for shift-invariant kernels")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("build", cmd_build), ("eval", cmd_eval),
-                     ("sweep", cmd_sweep), ("embed", cmd_embed),
-                     ("bench", cmd_bench)):
+                     ("sweep", cmd_sweep), ("embed", cmd_embed)):
         p = sub.add_parser(name)
         _add_common_flags(p, lists=(name == "sweep"))
         if name == "sweep":

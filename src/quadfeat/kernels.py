@@ -9,9 +9,8 @@ a hypergraph of index subsets.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -109,20 +108,7 @@ def kernel_values(kernel, U: np.ndarray) -> np.ndarray:
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if hasattr(kernel, "value"):
         return np.asarray(kernel.value(U), dtype=float)
-    out = np.asarray(kernel(U), dtype=float) if _accepts_batch(kernel, U) else None
-    if out is not None and out.shape == (U.shape[0],):
-        return out
     return np.array([float(kernel(u)) for u in U])
-
-
-def _accepts_batch(kernel: Callable, U: np.ndarray) -> bool:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = np.asarray(kernel(U[:1]))
-        return out.shape == (1,)
-    except Exception:
-        return False
 
 
 def load_anova(path: str) -> AnovaKernel:

@@ -5,59 +5,24 @@ We need rules (nodes w_l, weights a_l) such that
     integral N(0,1)(w) f(w) dw  ~=  sum_l a_l f(w_l),
 
 exact for every polynomial of degree <= 2L - 1.  Nodes are the roots of the
-probabilists' Hermite polynomial He_L; the Golub-Welsch construction reads
-them off a symmetric tridiagonal Jacobi matrix (zero diagonal, off-diagonal
-sqrt(k) for k = 1..L-1) and recovers each weight as the squared first
-component of the corresponding unit eigenvector (total mass 1).
-
-The eigensolver is a hand-rolled implicit-shift QL iteration so the module
-stays dependency-free and reproducible; numpy is used only as the array
-container.
+probabilists' Hermite polynomial He_L.  ``gauss_hermite`` takes them from
+``numpy.polynomial.hermite_e.hermegauss``: eigenvalues of the symmetric
+Jacobi matrix (zero diagonal, off-diagonal sqrt(k)) polished by one Newton
+step, with weights from the normalized Hermite recurrence rather than from
+eigenvectors, so the tiny outer weights of large rules do not underflow.
+Nodes and weights are mirrored, so every rule is exactly symmetric; the
+weights are rescaled to total mass 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-from .errors import ConvergenceError
+from numpy.polynomial.hermite_e import hermegauss
 
 MAX_RULE_SIZE = 200
-
-
-@dataclass(frozen=True)
-class SymTriDiag:
-    """Symmetric tridiagonal matrix stored as its two bands."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.off_diagonal, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("diagonal must be a non-empty 1-d array")
-        if e.shape != (d.size - 1,):
-            raise ValueError("off_diagonal must have length n - 1")
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "off_diagonal", e)
-
-    @property
-    def n(self) -> int:
-        return self.diagonal.size
-
-    def norm_inf(self) -> float:
-        d, e = np.abs(self.diagonal), np.abs(self.off_diagonal)
-        row = d.copy()
-        if e.size:
-            row[:-1] += e
-            row[1:] += e
-        return float(row.max())
 
 
 @dataclass(frozen=True)
@@ -88,116 +53,6 @@ class QuadratureRule1D:
         return self.nodes.size
 
 
-def tridiag_eigenpairs(
-    m: SymTriDiag, tol: float = 1e-14, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
-
-    Implicit-shift QL iteration (plane rotations with Wilkinson-style
-    shifts).  Returns ``(eigenvalues, V)`` with eigenvalues ascending and
-    eigenvectors in the columns of ``V``.
-
-    Raises
-    ------
-    ConvergenceError
-        If any eigenvalue fails to deflate within ``max_sweeps`` rotations
-        sweeps; the error carries the iteration count.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = m.n
-    d = m.diagonal.copy()
-    e = np.zeros(n)
-    e[: n - 1] = m.off_diagonal
-    V = np.eye(n)
-    total_iters = 0
-
-    for l in range(n):
-        iters = 0
-        while True:
-            # locate a negligible subdiagonal entry to split the problem
-            mm = l
-            while mm < n - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= tol * dd:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            iters += 1
-            total_iters += 1
-            if iters > max_sweeps:
-                raise ConvergenceError(
-                    f"QL iteration failed to converge for eigenvalue {l} "
-                    f"after {iters} sweeps",
-                    iterations=total_iters,
-                )
-            # implicit shift from the 2x2 block at l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s, c, p = 1.0, 1.0, 0.0
-            underflow = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from underflow: skip the remaining rotations
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = V[:, i].copy()
-                V[:, i] = c * col - s * V[:, i + 1]
-                V[:, i + 1] = s * col + c * V[:, i + 1]
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[mm] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return d[order], V[:, order]
-
-
-def sym_tridiag_eigen(
-    m: SymTriDiag, tol: float = 1e-14
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and first components of the unit eigenvectors."""
-    values, vectors = tridiag_eigenpairs(m, tol=tol)
-    return values, vectors[0].copy()
-
-
-def rule_from_recurrence(
-    alpha: np.ndarray, beta: np.ndarray, mass: float = 1.0
-) -> QuadratureRule1D:
-    """Quadrature rule from three-term recurrence coefficients.
-
-    ``alpha`` (length L) and ``beta`` (length L - 1, all positive) are the
-    monic-orthogonal-polynomial recurrence coefficients of the weight
-    density; ``mass`` is its total integral.  This is the extension point
-    for non-normal subgaussian spectra; only the normal density ships
-    built in (see :func:`gauss_hermite`).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if (beta <= 0).any():
-        raise ValueError("recurrence coefficients beta must be positive")
-    jacobi = SymTriDiag(alpha, np.sqrt(beta))
-    values, first = sym_tridiag_eigen(jacobi)
-    weights = mass * first**2
-    return QuadratureRule1D(values, weights)
-
-
 @lru_cache(maxsize=None)
 def gauss_hermite(L: int) -> QuadratureRule1D:
     """L-point Gauss rule for the standard normal density.
@@ -209,10 +64,8 @@ def gauss_hermite(L: int) -> QuadratureRule1D:
         raise ValueError("L must be an integer")
     if not 1 <= L <= MAX_RULE_SIZE:
         raise ValueError(f"L must be in 1..{MAX_RULE_SIZE}, got {L}")
-    if L == 1:
-        return QuadratureRule1D(np.zeros(1), np.ones(1))
-    # Jacobi matrix for the probabilists' Hermite weight
-    return rule_from_recurrence(np.zeros(L), np.arange(1.0, L))
+    nodes, weights = hermegauss(L)
+    return QuadratureRule1D(nodes, weights / weights.sum())
 
 
 def integrate_1d(rule: QuadratureRule1D, f: Callable[[np.ndarray], np.ndarray]) -> float:

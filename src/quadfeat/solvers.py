@@ -363,8 +363,8 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     Builds M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
     minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0.  Zero-weight points
     are dropped, and the weight sum is left at its fitted value.
-    ``kernel`` may be a GaussianKernel, AnovaKernel, or a callable on
-    displacements (pass ``gamma`` explicitly in the callable case; it sets
+    ``kernel`` may be a GaussianKernel, AnovaKernel, or a callable of one
+    displacement row (pass ``gamma`` explicitly in the callable case; it sets
     the sqrt(2 gamma) node scaling).
     """
     if lam < 0:

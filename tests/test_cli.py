@@ -90,14 +90,6 @@ def test_embed_anova(tmp_path, data_csv):
     assert features.shape == (200, 2 * 3 * 8)
 
 
-def test_bench_reports_fast_path(capsys, data_csv):
-    assert main(["bench", "--method", "subsampled", "--D", "64", "--L", "8",
-                 "--gamma", "0.5", "--seed", "0", "--data", data_csv]) == 0
-    out = capsys.readouterr().out
-    assert "embed_grid_fast_ms" in out
-    assert "fast_path=True" in out
-
-
 def test_eval_anova_reports_structure_gamma(tmp_path, capsys):
     kernel = random_anova(d=4, m=2, subset_size=2, gamma=0.25, seed=3)
     spec_path = tmp_path / "anova.json"

@@ -8,8 +8,6 @@ from quadfeat.errors import EmbeddingUnsupportedError
 from quadfeat.featuremaps import (
     FeatureMap,
     anova_compose,
-    can_fast_embed,
-    distinct_values_per_coordinate,
     embed_grid_fast,
     feature_map_from_json,
     feature_map_to_json,
@@ -191,11 +189,10 @@ class TestEmbedGridFast:
     def test_eleven_point_rule_has_eleven_multipliers(self):
         # exactness through degree 21 needs only 11 values per dimension
         fm = FeatureMap(dense_grid(11, 2), "dense", 0.5)
-        values = distinct_values_per_coordinate(fm)
-        assert [v.size for v in values] == [11, 11]
+        assert [np.unique(fm.frequencies[:, j]).size for j in range(2)] == [11, 11]
         # a subsample can only ever see those same values
         sub = subsampled_feature_map(11, 4, 600, 0.5, seed=7)
-        assert all(v.size <= 11 for v in distinct_values_per_coordinate(sub))
+        assert all(np.unique(sub.frequencies[:, j]).size <= 11 for j in range(4))
 
     def test_single_row_matches_embed(self):
         fm = subsampled_feature_map(4, 3, 50, 0.5, seed=8)
@@ -210,9 +207,8 @@ class TestEmbedGridFast:
         np.testing.assert_allclose(embed_grid_fast(fm, X), fm.embed_batch(X),
                                    atol=1e-12)
 
-    def test_fallback_above_distinct_cap(self):
+    def test_indexed_sum_matches_embed_on_rff(self):
         fm = rff(2, 100, 0.5, seed=10)  # 100 distinct values per coordinate
-        assert not can_fast_embed(fm)
         X = np.random.default_rng(10).standard_normal((6, 2))
         np.testing.assert_allclose(embed_grid_fast(fm, X), fm.embed_batch(X))
 

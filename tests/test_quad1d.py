@@ -4,17 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from quadfeat.errors import ConvergenceError
 from quadfeat.quad1d import (
     QuadratureRule1D,
-    SymTriDiag,
     double_factorial,
     gauss_hermite,
     integrate_1d,
     normal_moment,
-    rule_from_recurrence,
-    sym_tridiag_eigen,
-    tridiag_eigenpairs,
 )
 
 
@@ -51,53 +46,22 @@ def sturm_eigenvalues(diag, off, tol=1e-12):
     return np.array(eigs)
 
 
-class TestSymTridiagEigen:
-    def test_one_by_one(self):
-        values, first = sym_tridiag_eigen(SymTriDiag([5.0], []))
-        np.testing.assert_allclose(values, [5.0])
-        np.testing.assert_allclose(np.abs(first), [1.0])
+def christoffel_weights(nodes, L):
+    """Independent oracle: w_l = 1 / sum_{k<L} He_k(x_l)^2 / k!.
 
-    def test_two_by_two_analytic(self):
-        values, first = sym_tridiag_eigen(SymTriDiag([0.0, 0.0], [1.0]))
-        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(first), [1 / math.sqrt(2)] * 2, atol=1e-14)
-
-    def test_random_5x5_against_sturm_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            diag = rng.standard_normal(5)
-            off = rng.standard_normal(4)
-            m = SymTriDiag(diag, off)
-            values, _ = sym_tridiag_eigen(m)
-            np.testing.assert_allclose(values, sturm_eigenvalues(diag, off),
-                                       atol=1e-10)
-
-    def test_eigenpair_residuals(self):
-        rng = np.random.default_rng(3)
-        diag = rng.standard_normal(12)
-        off = rng.standard_normal(11)
-        m = SymTriDiag(diag, off)
-        values, vectors = tridiag_eigenpairs(m)
-        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        for i in range(12):
-            v = vectors[:, i]
-            assert np.linalg.norm(T @ v - values[i] * v) <= 1e-12 * m.norm_inf()
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
-    def test_first_components_match_full_vectors(self):
-        m = SymTriDiag([1.0, -2.0, 0.5], [0.3, 1.7])
-        values, first = sym_tridiag_eigen(m)
-        _, vectors = tridiag_eigenpairs(m)
-        np.testing.assert_allclose(first, vectors[0], atol=1e-14)
-
-    def test_iteration_budget_error_carries_count(self):
-        with pytest.raises(ConvergenceError) as exc:
-            tridiag_eigenpairs(SymTriDiag([0.0, 0.0], [1.0]), max_sweeps=0)
-        assert exc.value.iterations >= 1
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            sym_tridiag_eigen(SymTriDiag([1.0], []), tol=0.0)
+    Uses the orthonormal polynomials p_k = He_k / sqrt(k!), whose
+    recurrence p_k = (x p_{k-1} - sqrt(k-1) p_{k-2}) / sqrt(k) keeps the
+    terms finite up to L = 200.
+    """
+    out = []
+    for x in nodes:
+        x = float(x)
+        prev, cur, total = 0.0, 1.0, 1.0
+        for k in range(1, L):
+            prev, cur = cur, (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+            total += cur * cur
+        out.append(1.0 / total)
+    return np.array(out)
 
 
 class TestGaussHermite:
@@ -143,11 +107,25 @@ class TestGaussHermite:
         assert err >= 0.5 * math.factorial(L)
         np.testing.assert_allclose(err, math.factorial(L), rtol=1e-6)
 
-    @pytest.mark.parametrize("L", [1, 2, 5, 20, 64])
+    @pytest.mark.parametrize("L", range(1, 201))
     def test_symmetry(self, L):
         rule = gauss_hermite(L)
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-10)
-        np.testing.assert_allclose(rule.weights, rule.weights[::-1], atol=1e-10)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+
+    @pytest.mark.parametrize("L", [2, 5, 20, 40])
+    def test_nodes_match_sturm_oracle(self, L):
+        # Jacobi matrix of the normal weight: diagonal 0, off-diagonal sqrt(k)
+        expected = sturm_eigenvalues(np.zeros(L), np.sqrt(np.arange(1.0, L)))
+        np.testing.assert_allclose(gauss_hermite(L).nodes, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("L", [2, 5, 20, 40, 200])
+    def test_weights_match_christoffel_oracle(self, L):
+        rule = gauss_hermite(L)
+        assert rule.weights.min() > 0
+        np.testing.assert_allclose(rule.weights,
+                                   christoffel_weights(rule.nodes, L),
+                                   rtol=1e-12, atol=0)
 
     def test_weights_positive_and_normalized(self):
         for L in (1, 7, 40, 200):
@@ -178,14 +156,6 @@ class TestIntegrate1D:
         vectorized = integrate_1d(rule, lambda w: w**2)
         scalar = integrate_1d(rule, lambda w: float(w) ** 2)
         assert scalar == pytest.approx(vectorized)
-
-
-def test_rule_from_recurrence_matches_hermite():
-    L = 6
-    rule = rule_from_recurrence(np.zeros(L), np.arange(1.0, L))
-    ref = gauss_hermite(L)
-    np.testing.assert_allclose(rule.nodes, ref.nodes)
-    np.testing.assert_allclose(rule.weights, ref.weights)
 
 
 def test_double_factorial_values():
