@@ -19,6 +19,9 @@ embedding
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 Feature counts are always quoted as D quadrature points (the embedding has
 2D real coordinates).
+
+The baselines are random Fourier features (i.i.d. normal points) and QMC
+features, Halton points mapped through ``statistics.NormalDist``'s quantile.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -183,65 +187,16 @@ def halton_points(d: int, D: int) -> np.ndarray:
                      for n in range(1, D + 1)])
 
 
-# Rational approximation of the standard normal quantile (absolute error
-# below 1.2e-9 on its own), sharpened by one Newton step on the CDF.
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-           -2.759285104469687e+02, 1.383577518672690e+02,
-           -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-           -1.556989798598866e+02, 6.680131188771972e+01,
-           -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-           -2.400758277161838e+00, -2.549732539343734e+00,
-           4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-           2.445134137142996e+00, 3.754408661907416e+00)
-
-_norm_cdf_scalar = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
-
-
-def norm_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via erfc (elementwise)."""
-    return _norm_cdf_scalar(np.asarray(x, dtype=float)).astype(float)
-
-
-def _inv_norm_raw(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    a, b, c, dd = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    p_low, p_high = 0.02425, 1 - 0.02425
-
-    low = p < p_low
-    high = p > p_high
-    mid = ~(low | high)
-
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num * q / den
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((dd[0] * q + dd[1]) * q + dd[2]) * q + dd[3]) * q + 1.0
-        out[low] = num / den
-    if high.any():
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((dd[0] * q + dd[1]) * q + dd[2]) * q + dd[3]) * q + 1.0
-        out[high] = -num / den
-    return out
+_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
 def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile, Newton-refined past the test tolerances."""
+    """Standard normal quantile, elementwise, by ``statistics.NormalDist``
+    (Wichura's AS 241, accurate to about 1e-16 relative)."""
     p = np.asarray(p, dtype=float)
     if ((p <= 0) | (p >= 1)).any():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    x = _inv_norm_raw(p)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x - (norm_cdf(x) - p) / pdf
+    return _inv_cdf(p)
 
 
 def qmc_halton(d: int, D: int, gamma: float) -> FeatureMap:

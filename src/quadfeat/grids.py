@@ -4,18 +4,17 @@ Three constructions:
 
 * dense tensor grids: every combination of one-dimensional nodes, weight
   equal to the product of the per-dimension weights (L^d points);
-* Smolyak sparse grids: the level-A telescoping sum over difference terms
-  built from rules of size 2^m (level 0 uses the single-point rule), with
-  points merged across terms and weights accumulated with sign;
+* Smolyak sparse grids of level A, built by the combination technique as
+  a signed sum of tensor blocks of the rules of size 2^m (level 0 uses
+  the single-point rule);
 * weight-proportional subsampling, which draws points i.i.d. with
   probability proportional to weight and assigns 1/D per draw, merging
   duplicates.  A lattice variant draws directly from the tensor-product
   law so grids far beyond the materialization cap can still be subsampled.
 
-Hermite nodes of different sizes never coincide (only the size-1 rule has
-a node at zero and the 2^m sizes are even), so sparse-grid merging only
-ever combines bitwise-identical coordinates produced by the cached
-one-dimensional rules.
+The Hermite rules of sizes 1, 2, 4, ..., 2^A share no node, so each point
+of a Smolyak grid lies in exactly one tensor block and no points need
+merging.
 
 The dense and Smolyak constructors also record the rule they expand in the
 grid's ``structure`` field, and ``structured_cos_sum`` evaluates the kernel
@@ -26,7 +25,6 @@ grid derived from another (subsampled, reweighted, loaded) carries none.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -182,60 +180,58 @@ def _level_multi_indices(d: int, A: int):
     yield from rec([], A, d)
 
 
-def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
-    """Smolyak sparse grid up to total level A.
+def _append_coordinate(points, weights, rule):
+    """Pair every (point, weight) with every node of ``rule`` in a new last coordinate."""
+    n, L = points.shape[0], rule.point_count
+    return (np.column_stack([np.repeat(points, L, axis=0), np.tile(rule.nodes, n)]),
+            np.multiply.outer(weights, rule.weights).ravel())
 
-    Sums the difference terms over all level multi-indices m with
-    |m|_1 <= A, where level m in one dimension is the 2^m-point rule and
-    the level-0 term is the single-point rule.  Each surviving point's
-    weight is the signed sum of its contributions; weights below
-    ``SPARSE_DROP_TOL`` in magnitude (telescoping cancellations) are
-    dropped.  Point count obeys D <= 3^A * C(d + A, A).
+
+def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
+    """Smolyak sparse grid up to total level A, by the combination technique.
+
+    Level m in one dimension is the 2^m-point rule (level 0 the origin).
+    The grid is the sum of the tensor blocks rule(l_1) x ... x rule(l_d)
+    with A - d < |l| <= A, block l weighted by (-1)^(A - |l|) C(d - 1,
+    A - |l|) (Gerstner & Griebel 1998).  Each point lies in exactly one
+    block, so nothing is merged.  The blocks are built one coordinate at a
+    time, grouped by total level; weights at most ``SPARSE_DROP_TOL`` in
+    magnitude are dropped, and points come in lexicographic order.  Point
+    count obeys D <= 3^A * C(d + A, A).
     """
     if A < 0 or d < 1:
         raise ValueError("A must be >= 0 and d positive")
     if 2**A > 200:
         raise ValueError(f"level A = {A} needs a 2^A-point rule beyond the 200-node bound")
-    bound = (3**A) * math.comb(d + A, A)
-    acc: dict[tuple, float] = {}
-    for m in _level_multi_indices(d, A):
-        active = [i for i, mi in enumerate(m) if mi > 0]
-        # each active dimension contributes (G^{2^m} - G^{2^{m-1}}); expand
-        # the product into signed tensor-product branches
-        choices = []
-        for i in active:
-            choices.append(((_level_rule(m[i]), 1.0), (_level_rule(m[i] - 1), -1.0)))
-        for branch in itertools.product(*choices):
-            sign = 1.0
-            rules = []
-            for rule, s in branch:
-                sign *= s
-                rules.append(rule)
-            node_sets = [r.nodes for r in rules]
-            weight_sets = [r.weights for r in rules]
-            for combo in itertools.product(*(range(len(ns)) for ns in node_sets)):
-                # coincident nodes are bitwise identical (cached rules), so
-                # exact coordinates are safe dictionary keys
-                key = [0.0] * d
-                w = sign
-                for pos, i in enumerate(active):
-                    key[i] = float(node_sets[pos][combo[pos]])
-                    w *= weight_sets[pos][combo[pos]]
-                key = tuple(key)
-                acc[key] = acc.get(key, 0.0) + w
-                if len(acc) > cap:
-                    raise GridSizeError(
-                        f"sparse grid exceeded the point cap {cap}",
-                        requested=len(acc),
-                        cap=cap,
-                    )
-    items = [(k, v) for k, v in acc.items() if abs(v) > SPARSE_DROP_TOL]
-    items.sort(key=lambda kv: kv[0])
-    points = np.array([k for k, _ in items])
-    weights = np.array([v for _, v in items])
-    if points.shape[0] > bound:
+    rules = [_level_rule(m) for m in range(A + 1)]
+    lowest = max(0, A - d + 1)
+    # counts[r]: points of total level r over the coordinates seen so far
+    counts = [1] + [0] * A
+    for _ in range(d):
+        counts = [sum(counts[r - m] * rules[m].point_count for m in range(r + 1))
+                  for r in range(A + 1)]
+    total = sum(counts[lowest:])
+    if total > cap:
+        raise GridSizeError(f"sparse grid would need {total} points (cap {cap})",
+                            requested=total, cap=cap)
+    # the same recursion on the points and weights themselves
+    levels = [(np.zeros((1, 0)), np.ones(1))] + [(np.zeros((0, 0)), np.zeros(0))] * A
+    for _ in range(d):
+        extended = []
+        for r in range(A + 1):
+            parts = [_append_coordinate(*levels[r - m], rules[m]) for m in range(r + 1)]
+            extended.append((np.concatenate([p for p, _ in parts]),
+                             np.concatenate([w for _, w in parts])))
+        levels = extended
+    points = np.concatenate([levels[r][0] for r in range(lowest, A + 1)])
+    weights = np.concatenate([(-1) ** (A - r) * math.comb(d - 1, A - r) * levels[r][1]
+                              for r in range(lowest, A + 1)])
+    keep = np.abs(weights) > SPARSE_DROP_TOL
+    points, weights = points[keep], weights[keep]
+    order = np.lexsort(points.T[::-1])
+    if points.shape[0] > (3**A) * math.comb(d + A, A):
         raise AssertionError("sparse grid exceeded its theoretical count bound")
-    g = GridQuadrature(points, weights, provenance=f"sparse(A={A}, d={d})")
+    g = GridQuadrature(points[order], weights[order], provenance=f"sparse(A={A}, d={d})")
     object.__setattr__(g, "structure", ("sparse", A))
     return g
 

@@ -238,9 +238,17 @@ class SweepConfig:
             cfg.lam = float(raw["lam"])
         if raw.get("target_D") is not None:
             cfg.target_D = int(raw["target_D"])
+        for key in ("methods", "D", "M", "seeds"):
+            if not getattr(cfg, key):
+                raise ConfigError(f"sweep config key {key!r} is empty", key=key)
         for m in cfg.methods:
             if m not in CLI_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")
+        for key, low in (("d", 1), ("D", 1), ("n_eval", 1), ("pairs", 1), ("M", 0)):
+            if min(np.atleast_1d(getattr(cfg, key))) < low:
+                raise ConfigError(f"sweep config key {key!r} must be >= {low}", key=key)
+        if not cfg.gamma > 0:
+            raise ConfigError("sweep config key 'gamma' must be positive", key="gamma")
         return cfg
 
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ConstructionError, ConvergenceError
 from .grids import (
-    DEFAULT_CONSTRAINT_CAP,
     GridQuadrature,
     moment_multi_indices,
     moment_targets,
@@ -47,6 +46,8 @@ from .kernels import AnovaKernel, GaussianKernel, kernel_values
 # an entering column whose Schur complement is below this fraction of its
 # squared norm lies numerically in the span of the passive columns
 _DEPENDENT = 1e-12
+POLY_EXACT_TOL = 1e-8  # worst moment violation a poly-exact rule may keep
+BISECT_STEPS = 30  # bisect_lambda's step count, fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -256,9 +257,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
         Ma = ps.fit(a[ps.indices])
 
 
-def construct_poly_exact(d: int, R: int, D: int, seed: int,
-                         exact_tol: float = 1e-8,
-                         cap: int = DEFAULT_CONSTRAINT_CAP) -> GridQuadrature:
+def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
     """Polynomially-exact rule from random candidates.
 
     Draws D i.i.d. standard-normal candidate points, then solves the
@@ -266,8 +265,8 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int,
     right-hand side the analytic normal moment) by NNLS.  Candidates with
     zero weight are dropped.  Raises ConstructionError, carrying the
     achieved residual, when the worst constraint violation exceeds
-    ``exact_tol``, or when the weight sum (the degree-0 row) is off by
-    more than the 1e-10 that ``GridQuadrature`` allows; the caller may
+    ``POLY_EXACT_TOL``, or when the weight sum (the degree-0 row) is off
+    by more than the 1e-10 that ``GridQuadrature`` allows; the caller may
     raise D and retry.
     """
     if d < 1 or D < 1:
@@ -276,17 +275,17 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int,
         raise ValueError("R must be a non-negative even integer")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((D, d))
-    indices = moment_multi_indices(d, R, cap=cap)
+    indices = moment_multi_indices(d, R)
     system = monomial_matrix(points, indices)
     targets = moment_targets(indices)
     # with D >= #constraints an exact fit exists; drive the KKT pass hard
     # so the degree-0 row (the weight sum) lands within the grid invariant
     sol = nnls(system, targets, tol=1e-13)
     residual = float(np.abs(system @ sol.a - targets).max())
-    if residual > exact_tol:
+    if residual > POLY_EXACT_TOL:
         raise ConstructionError(
             f"poly-exact construction reached residual {residual:.3e} "
-            f"> {exact_tol:.1e} (d={d}, R={R}, D={D})",
+            f"> {POLY_EXACT_TOL:.1e} (d={d}, R={R}, D={D})",
             residual=residual)
     keep = sol.a > 0.0
     weight_gap = float(sol.a[keep].sum()) - 1.0
@@ -392,16 +391,17 @@ class BisectResult:
 
 
 def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
-                  target_D: int, lam_hi: float = 1.0, iters: int = 30,
-                  gamma: Optional[float] = None,
+                  target_D: int, gamma: Optional[float] = None,
                   refit_support: bool = True) -> BisectResult:
     """Bisect the l1 penalty until at most ``target_D`` points survive.
 
     Support shrinkage in lam is an empirical observation, not a theorem,
     so the result carries a bracket certificate instead of assuming
-    monotonicity.  The number of bisection steps is fixed (default 30)
-    for determinism.  Each penalized solve starts from the support of the
-    previous one, so it only adds and drops the columns that differ.
+    monotonicity.  The penalty starts at 1 and doubles until at most
+    ``target_D`` points survive; then a fixed ``BISECT_STEPS`` bisection
+    steps narrow the bracket.  Each penalized solve starts from the
+    support of the previous one, so it only adds and drops the columns
+    that differ.
 
     With ``refit_support`` (the default) the penalty only selects the
     support: the returned weights are refit at lam = 0 restricted to the
@@ -411,8 +411,6 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     """
     if target_D < 1:
         raise ValueError("target_D must be positive")
-    if lam_hi <= 0:
-        raise ValueError("lam_hi must be positive")
     system, targets = _reweight_system(candidates, pairs, kernel, gamma)
     base, last = _solve_reweight(candidates, system, targets, 0.0)
     if base.count <= target_D:
@@ -423,7 +421,7 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
         grid, last = _solve_reweight(candidates, system, targets, lam, start=last)
         return grid, last
 
-    hi = lam_hi
+    hi = 1.0
     sol_hi, keep_hi = solve(hi)
     doublings = 0
     while sol_hi.count > target_D:
@@ -437,7 +435,7 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
 
     lo, nnz_lo = 0.0, base.count
     best_lam, best, best_keep = hi, sol_hi, keep_hi
-    for _ in range(iters):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         sol_mid, keep_mid = solve(mid)
         if sol_mid.count <= target_D:

@@ -1,5 +1,6 @@
 """Tests for feature maps, baselines, and embeddings."""
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from quadfeat.featuremaps import (
     feature_map_to_json,
     halton_points,
     inv_norm_cdf,
-    norm_cdf,
     qmc_halton,
     rff,
     subsampled_feature_map,
-    _inv_norm_raw,
 )
 from quadfeat.grids import dense_grid, sparse_grid, subsample_grid
 from quadfeat.kernels import AnovaKernel, GaussianKernel, eval_anova
@@ -102,15 +101,17 @@ class TestInverseNormalCdf:
         np.testing.assert_allclose(inv_norm_cdf(p), -inv_norm_cdf(1 - p),
                                    atol=1e-12)
 
-    def test_raw_accuracy_before_refinement(self):
-        p = np.linspace(1e-6, 1 - 1e-6, 20_001)
-        refined = inv_norm_cdf(p)
-        err = np.abs(_inv_norm_raw(p) - refined)
-        assert (err <= 1.5e-9 * np.maximum(1.0, np.abs(refined))).all()
-
-    def test_newton_refined_round_trip(self):
+    def test_round_trip_through_cdf(self):
         p = np.linspace(1e-8, 1 - 1e-8, 100_001)
-        assert np.abs(norm_cdf(inv_norm_cdf(p)) - p).max() <= 1e-12
+        cdf = np.vectorize(NormalDist().cdf)
+        assert np.abs(cdf(inv_norm_cdf(p)) - p).max() <= 1e-12
+
+    def test_upper_tail_mirrors_lower_tail(self):
+        # 1 - hi is exact, so the two quantiles are exact negatives
+        q = np.logspace(-8, -1, 29)
+        hi = 1 - q
+        qx = 1 - hi
+        assert np.abs(inv_norm_cdf(hi) + inv_norm_cdf(qx)).max() <= 1e-14
 
     def test_domain(self):
         with pytest.raises(ValueError):

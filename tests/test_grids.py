@@ -101,7 +101,8 @@ class TestSparseGrid:
         assert not g.nonnegative
 
     @pytest.mark.parametrize("A,d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2),
-                                     (3, 2), (2, 3), (1, 4)])
+                                     (3, 2), (2, 3), (1, 4), (2, 4), (3, 3),
+                                     (3, 4), (4, 2), (5, 2), (7, 1)])
     def test_matches_reference_accumulation(self, A, d):
         g = sparse_grid(A, d)
         ref = reference_sparse_accumulation(A, d)
@@ -134,8 +135,14 @@ class TestSparseGrid:
             sparse_grid(8, 2)
 
     def test_point_cap(self):
-        with pytest.raises(GridSizeError):
+        with pytest.raises(GridSizeError) as exc:
             sparse_grid(3, 8, cap=50)
+        assert exc.value.requested == sparse_grid(3, 8).count
+
+    @pytest.mark.parametrize("A", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_exactness_to_degree_2A_plus_1(self, A, d):
+        assert exactness_residual(sparse_grid(A, d), 2 * A + 1) <= 1e-9
 
 
 class TestExactnessResidual:

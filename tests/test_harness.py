@@ -172,6 +172,24 @@ class TestSweep:
                                    "gamma": 0.5, "D": [8], "M": [1.0],
                                    "seeds": [0]})
 
+    @pytest.mark.parametrize("key,value", [
+        ("methods", []), ("D", []), ("M", []), ("seeds", []),
+        ("d", 0), ("D", [8, 0]), ("n_eval", 0), ("pairs", 0),
+        ("M", [1.0, -1.0]), ("gamma", 0.0), ("gamma", -1.0),
+    ])
+    def test_out_of_range_value_is_named(self, key, value, monkeypatch):
+        from quadfeat import harness
+
+        def no_builds(*args, **kwargs):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr(harness, "build_method_map", no_builds)
+        config = {"methods": ["rff"], "d": 2, "gamma": 0.5, "D": [8],
+                  "M": [1.0], "seeds": [0], "n_eval": 100, key: value}
+        with pytest.raises(ConfigError) as exc:
+            sweep(config)
+        assert exc.value.key == key
+
     def test_deterministic_modulo_timing(self):
         config = {"methods": ["rff", "subsampled"], "d": 3, "gamma": 0.5,
                   "D": [16, 32], "M": [0.5, 1.0], "seeds": [0, 1],

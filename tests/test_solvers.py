@@ -137,7 +137,7 @@ class TestConstructPolyExact:
         assert exc.value.residual > 1e-8
 
     def test_weight_sum_gap_is_a_construction_error(self, monkeypatch):
-        # moment residual 5e-10 passes exact_tol, but a normalized rule
+        # moment residual 5e-10 passes POLY_EXACT_TOL, but a normalized rule
         # allows only 1e-10 on the weight sum
         real = solvers.nnls
 
