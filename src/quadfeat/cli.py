@@ -61,7 +61,8 @@ def _add_common_flags(p: argparse.ArgumentParser, lists: bool = False) -> None:
     p.add_argument("--pairs", type=int, default=500,
                    help="training pairs for reweighting")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="fixed l1 penalty (otherwise bisected)")
+                   help="fixed l1 penalty (otherwise chosen on the "
+                        "l1 path to keep at most --target-D points)")
     p.add_argument("--target-D", type=int, default=None,
                    help="support size target for reweighting")
     p.add_argument("--anova", type=str, default=None,

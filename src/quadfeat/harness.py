@@ -191,6 +191,15 @@ def synthetic_mixture(n: int, seed: int, d: int = 40, components: int = 4,
     return Dataset(rows, source=f"synthetic_mixture(n={n}, seed={seed})")
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int, if it is integral (2 and 2.0, not 2.7 or "2")."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"sweep config key {key!r} must be an integer, got {value!r}",
+                      key=key)
+
+
 @dataclass
 class SweepConfig:
     """Validated sweep grid.  Cell order is methods x D x M x seeds."""
@@ -223,21 +232,21 @@ class SweepConfig:
                 raise ConfigError(f"missing sweep config key {key!r}", key=key)
         cfg = cls(
             methods=[str(m) for m in raw["methods"]],
-            d=int(raw["d"]),
+            d=_integer(raw["d"], "d"),
             gamma=float(raw["gamma"]),
-            D=[int(v) for v in raw["D"]],
+            D=[_integer(v, "D") for v in raw["D"]],
             M=[float(v) for v in raw["M"]],
-            seeds=[int(v) for v in raw["seeds"]],
+            seeds=[_integer(v, "seeds") for v in raw["seeds"]],
         )
         for key in ("n_eval", "L", "level", "degree", "pairs"):
             if key in raw:
-                setattr(cfg, key, int(raw[key]))
+                setattr(cfg, key, _integer(raw[key], key))
         if raw.get("data") is not None:
             cfg.data = str(raw["data"])
         if raw.get("lam") is not None:
             cfg.lam = float(raw["lam"])
         if raw.get("target_D") is not None:
-            cfg.target_D = int(raw["target_D"])
+            cfg.target_D = _integer(raw["target_D"], "target_D")
         for key in ("methods", "D", "M", "seeds"):
             if not getattr(cfg, key):
                 raise ConfigError(f"sweep config key {key!r} is empty", key=key)

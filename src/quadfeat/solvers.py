@@ -19,10 +19,12 @@ On top of it sit
   every normal moment of total degree <= R, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared kernel error over sampled pairs, with an optional l1 penalty
-  (folded into the linear term of the KKT system) and a bisection on the
-  penalty to hit a target support size.  The bisection warm-starts every
-  solve from the support of the previous solve on the same system
-  (Bro & De Jong 1997), since neighbouring penalties have nearby supports.
+  (folded into the linear term of the KKT system), and ``bisect_lambda``,
+  which picks the penalty for a target support size.  It walks the exact
+  nonnegative-lasso path (positive LARS) once, from the largest useful
+  penalty down, one entering or leaving column per step; the path reuses
+  the passive-set inverse and its updates, and each step costs O(np).
+  Both fold mirror pairs w, -w of the candidates into one column first.
 
 Reweighted grids keep their fitted scale: the least-squares objective
 governs, so the weights are deliberately not renormalized to sum to 1.
@@ -47,7 +49,6 @@ from .kernels import AnovaKernel, GaussianKernel, kernel_values
 # squared norm lies numerically in the span of the passive columns
 _DEPENDENT = 1e-12
 POLY_EXACT_TOL = 1e-8  # worst moment violation a poly-exact rule may keep
-BISECT_STEPS = 30  # bisect_lambda's step count, fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ class _PassiveSet:
     buffers sized for the largest possible passive set, min(n, p).
     """
 
-    def __init__(self, MT: np.ndarray, b: np.ndarray, f: np.ndarray, shift: float):
+    def __init__(self, MT: np.ndarray, b: np.ndarray, MTb: np.ndarray):
         p, n = MT.shape
         cap = min(n, p)
-        self.MT, self.b, self.f, self.shift = MT, b, f, shift
+        self.MT, self.b, self.MTb = MT, b, MTb
         self.idx = np.empty(cap, dtype=np.intp)
         self.rows = np.empty((cap, n))
         self.inv = np.empty((cap, cap))
@@ -144,11 +145,11 @@ class _PassiveSet:
         self.k = k
         return True
 
-    def solve(self) -> np.ndarray:
-        """Least-squares coefficients on the passive set, refined once."""
+    def solve(self, shift: float) -> np.ndarray:
+        """Minimizer of 0.5||M_P z - b||^2 + shift 1'z, refined once."""
         P, H = self.rows[:self.k], self.inv[:self.k, :self.k]
-        z = H @ self.f[self.indices]
-        z += H @ (P @ (self.b - P.T @ z) - self.shift)
+        z = H @ (self.MTb[self.indices] - shift)
+        z += H @ (P @ (self.b - P.T @ z) - shift)
         return z
 
     def fit(self, z: np.ndarray) -> np.ndarray:
@@ -173,11 +174,12 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
     if max_iter is None:
         max_iter = 3 * p
     MT = np.ascontiguousarray(M.T)
-    f = MT @ b - shift
+    MTb = MT @ b
+    f = MTb - shift
     scale = float(np.linalg.norm(f)) or 1.0
     a = np.zeros(p)
     Ma = np.zeros(n)
-    ps = _PassiveSet(MT, b, f, shift)
+    ps = _PassiveSet(MT, b, MTb)
     objectives: list[float] = []
     outer = 0
 
@@ -192,7 +194,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
 
     if start is not None and ps.reset(np.asarray(start, dtype=np.intp)):
         while ps.k:
-            z = ps.solve()
+            z = ps.solve(shift)
             if z.min() > 0.0:
                 a[ps.indices] = z
                 Ma = ps.fit(z)
@@ -240,7 +242,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
             if inner > p + 1:
                 raise ConvergenceError(
                     "NNLS inner loop cycled", iterations=outer, best=solution())
-            z = ps.solve()
+            z = ps.solve(shift)
             P = ps.indices
             if z.min() > 0.0:
                 a[P] = z
@@ -325,15 +327,45 @@ def _kernel_gamma(kernel, gamma: Optional[float]) -> float:
     raise ValueError("gamma is required when the kernel is a bare callable")
 
 
+def _fold_twins(candidates: GridQuadrature) -> GridQuadrature:
+    """``candidates`` without the later member of each mirror pair w, -w.
+
+    cos is even, so a twin only repeats a column of the reweighting system;
+    the member that comes first in pool order is kept.
+    """
+    seen, keep = set(), []
+    for i, row in enumerate(candidates.points + 0.0):  # + 0.0 turns -0.0 into 0.0
+        if (0.0 - row).tobytes() not in seen:
+            seen.add(row.tobytes())
+            keep.append(i)
+    if len(keep) == candidates.count:
+        return candidates
+    return GridQuadrature(candidates.points[keep], candidates.weights[keep],
+                          provenance=candidates.provenance, normalized=False)
+
+
 def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
                      gamma: Optional[float]):
+    """The twin-folded pool, M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l)."""
+    pool = _fold_twins(candidates)
     X, Y = _pairs_to_arrays(pairs)
     g = _kernel_gamma(kernel, gamma)
-    freqs = candidates.points * np.sqrt(2.0 * g)
+    freqs = pool.points * np.sqrt(2.0 * g)
     U = X - Y
     system = np.cos(U @ freqs.T)
     targets = kernel_values(kernel, U)
-    return system, targets
+    return pool, system, targets
+
+
+def _fitted_grid(candidates: GridQuadrature, keep: np.ndarray, a: np.ndarray,
+                 residual_norm: float, n: int, lam: float) -> GridQuadrature:
+    """The candidates at ``keep`` with fitted weights ``a``."""
+    mse = residual_norm**2 / n
+    return GridQuadrature(
+        candidates.points[keep], a, normalized=False,
+        provenance=f"reweighted(lam={lam!r}, n={n}, "
+                   f"sum_a={a.sum()!r}, mse={mse!r}) "
+                   f"of {candidates.provenance}")
 
 
 def _solve_reweight(candidates: GridQuadrature, system: np.ndarray,
@@ -346,12 +378,7 @@ def _solve_reweight(candidates: GridQuadrature, system: np.ndarray,
     sol = _lawson_hanson(system, targets, shift=0.5 * n * lam,
                          tol=1e-10, max_iter=None, start=start)
     keep = np.flatnonzero(sol.a > 0.0)
-    mse = sol.residual_norm**2 / n
-    grid = GridQuadrature(
-        candidates.points[keep], sol.a[keep], normalized=False,
-        provenance=f"reweighted(lam={lam!r}, n={n}, "
-                   f"sum_a={sol.a.sum()!r}, mse={mse!r}) "
-                   f"of {candidates.provenance}")
+    grid = _fitted_grid(candidates, keep, sol.a[keep], sol.residual_norm, n, lam)
     return grid, keep
 
 
@@ -360,8 +387,10 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     """Refit grid weights to observed kernel values.
 
     Builds M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
-    minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0.  Zero-weight points
-    are dropped, and the weight sum is left at its fitted value.
+    minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0.  Of each mirror
+    pair w, -w in the candidates only the first is fitted, since both give
+    the same column.  Zero-weight points are dropped, and the weight sum is
+    left at its fitted value.
     ``kernel`` may be a GaussianKernel, AnovaKernel, or a callable of one
     displacement row (pass ``gamma`` explicitly in the callable case; it sets
     the sqrt(2 gamma) node scaling).
@@ -370,88 +399,164 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
         raise ValueError("lam must be non-negative")
     if not candidates.nonnegative:
         raise ValueError("candidate grids must have non-negative weights")
-    system, targets = _reweight_system(candidates, pairs, kernel, gamma)
-    return _solve_reweight(candidates, system, targets, lam)[0]
+    pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
+    return _solve_reweight(pool, system, targets, lam)[0]
+
+
+@dataclass(frozen=True)
+class _PathSegment:
+    """One linear piece of the nonnegative-lasso path.
+
+    For hi >= s >= lo the solution is supported on the columns ``support``,
+    with coefficients moving linearly from ``a_hi`` at s = hi to ``a_lo`` at
+    s = lo.  ``events`` counts the entries and exits walked to reach it,
+    the one that opened it included.
+    """
+
+    hi: float
+    lo: float
+    support: np.ndarray
+    a_hi: np.ndarray
+    a_lo: np.ndarray
+    events: int
+
+
+def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
+    """Yield the segments of min 0.5||Ma - b||^2 + s 1'a over a >= 0, from
+    s = max_j (M'b)_j down to s = 0 (positive LARS: Efron et al. 2004,
+    section 3.4; Osborne, Presnell & Turlach 2000).
+
+    On the active set A the coefficients grow along d = (M_A'M_A)^-1 1 as s
+    falls, and the correlations c = M'(b - Ma) of the other columns move
+    by v = M'M_A d.  A segment ends at the first event: an inactive column
+    with 1 - v_j > 0 whose correlation reaches s enters, or an active
+    coefficient reaching 0 exits.  c is recomputed from the residual at
+    every breakpoint, so errors do not accumulate along the path.  A column
+    numerically dependent on the active set is passed over until the next
+    exit, as in Lawson-Hanson.  Raises ConvergenceError (the last segment
+    attached) past 3p events.
+    """
+    n, p = M.shape
+    MT = np.ascontiguousarray(M.T)
+    MTb = MT @ b
+    s = float(MTb.max(initial=0.0))
+    if s <= 0.0:
+        return  # a = 0 is optimal at every s >= 0
+    ps = _PassiveSet(MT, b, MTb)
+    # one active column has d > 0 and never exits, so A is never empty
+    ps.add(int(np.argmax(MTb)))
+    passed = np.zeros(p, dtype=bool)
+    events = 1
+    while True:
+        k = ps.k
+        support = ps.indices.copy()
+        a = ps.solve(s)
+        d = ps.inv[:k, :k].sum(axis=1)
+        fit = ps.fit(np.column_stack([a, d]))
+        c, v = (MT @ np.column_stack([b - fit[:, 0], fit[:, 1]])).T
+        t_out = np.full(k, np.inf)
+        falling = d < 0.0
+        t_out[falling] = np.maximum(a[falling], 0.0) / -d[falling]
+        gap = 1.0 - v
+        t_in = np.full(p, np.inf)
+        can = (gap > 0.0) & ~passed
+        can[support] = False
+        t_in[can] = np.maximum(s - c[can], 0.0) / gap[can]
+        while True:
+            j, i = int(np.argmin(t_in)), int(np.argmin(t_out))
+            step = min(t_in[j], t_out[i], s)
+            if step == s:
+                yield _PathSegment(s, 0.0, support, a, a + s * d, events)
+                return
+            if t_out[i] <= t_in[j]:
+                ps.remove(np.array([i]))
+                passed[:] = False
+                break
+            if ps.add(j) is None:
+                break
+            passed[j] = True
+            t_in[j] = np.inf
+        segment = _PathSegment(s, s - step, support, a, a + step * d, events)
+        yield segment
+        events += 1
+        if events > 3 * p:
+            raise ConvergenceError(
+                f"nonnegative-lasso path exceeded {3 * p} events",
+                iterations=events, best=segment)
+        s -= step
 
 
 @dataclass(frozen=True)
 class BisectResult:
-    """Outcome of the support-size bisection.
+    """Outcome of the support-size selection on the l1 path.
 
-    ``lam``/``grid`` is the accepted solution (largest support found with
-    nnz <= target).  ``lam_below``/``nnz_below`` certify the bracket: the
-    neighboring rejected penalty and its (too large) support size, or None
-    when the unpenalized fit was already small enough.
+    ``lam``/``grid`` is the accepted solution, with at most ``target_D``
+    points.  ``lam_below``/``nnz_below`` certify the crossing: a lower
+    penalty and its support size, larger than the target, or None when the
+    unpenalized fit was already small enough.  ``steps`` counts the path
+    events (entries plus exits) walked to reach the crossing, 0 without one.
     """
 
     lam: float
     grid: GridQuadrature
     lam_below: Optional[float]
     nnz_below: Optional[int]
+    steps: int = 0
 
 
 def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
                   target_D: int, gamma: Optional[float] = None,
                   refit_support: bool = True) -> BisectResult:
-    """Bisect the l1 penalty until at most ``target_D`` points survive.
+    """Choose the l1 penalty at which ``target_D`` points survive.
 
-    Support shrinkage in lam is an empirical observation, not a theorem,
-    so the result carries a bracket certificate instead of assuming
-    monotonicity.  The penalty starts at 1 and doubles until at most
-    ``target_D`` points survive; then a fixed ``BISECT_STEPS`` bisection
-    steps narrow the bracket.  Each penalized solve starts from the
-    support of the previous one, so it only adds and drops the columns
-    that differ.
+    Walks the exact path of the penalized fit (1/n)||Ma - b||^2 + lam 1'a,
+    a >= 0, from the penalty at which the first candidate enters down
+    towards 0.  Each step is one event, a point entering or leaving the
+    support.  The support size is not monotone in lam, since points also
+    leave as the penalty falls, so the selection is the first crossing
+    walking down: the support just above the largest breakpoint at which
+    an entry would grow it past ``target_D``.  That support has exactly
+    ``target_D`` points, and ``lam`` is the breakpoint.  Lower penalties
+    at which the support returns to ``target_D`` points are not visited.
+    ``lam_below`` is the midpoint of the next segment of the path and
+    ``nnz_below`` its support size, ``target_D + 1``, which a solve at
+    ``lam_below`` reproduces.  When the path reaches lam = 0 without
+    passing ``target_D``, the unpenalized fit is returned with lam = 0.
 
+    Mirror pairs w, -w in the candidates are folded as in ``reweight``.
     With ``refit_support`` (the default) the penalty only selects the
     support: the returned weights are refit at lam = 0 restricted to the
     surviving points, so hitting a small target does not cost systematic
-    shrinkage of the weight sum.  Pass False for the raw penalized
-    solution.
+    shrinkage of the weight sum.  Pass False for the penalized solution at
+    ``lam``.
     """
     if target_D < 1:
         raise ValueError("target_D must be positive")
-    system, targets = _reweight_system(candidates, pairs, kernel, gamma)
-    base, last = _solve_reweight(candidates, system, targets, 0.0)
-    if base.count <= target_D:
+    pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
+    n = system.shape[0]
+    chosen = None
+    for segment in _nonneg_lasso_path(system, targets):
+        if segment.support.size > target_D:
+            break
+        chosen = segment
+    else:
+        start = None if chosen is None else chosen.support
+        base, _ = _solve_reweight(pool, system, targets, 0.0, start=start)
         return BisectResult(0.0, base, None, None)
 
-    def solve(lam: float) -> tuple[GridQuadrature, np.ndarray]:
-        nonlocal last
-        grid, last = _solve_reweight(candidates, system, targets, lam, start=last)
-        return grid, last
-
-    hi = 1.0
-    sol_hi, keep_hi = solve(hi)
-    doublings = 0
-    while sol_hi.count > target_D:
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceError(
-                "penalty doubling failed to shrink the support",
-                iterations=doublings, best=sol_hi)
-        hi *= 2.0
-        sol_hi, keep_hi = solve(hi)
-
-    lo, nnz_lo = 0.0, base.count
-    best_lam, best, best_keep = hi, sol_hi, keep_hi
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        sol_mid, keep_mid = solve(mid)
-        if sol_mid.count <= target_D:
-            hi = mid
-            if sol_mid.count > best.count or (sol_mid.count == best.count
-                                              and mid < best_lam):
-                best_lam, best, best_keep = mid, sol_mid, keep_mid
-        else:
-            lo, nnz_lo = mid, sol_mid.count
-    if refit_support and best.count > 0:
-        support = GridQuadrature(candidates.points[best_keep],
-                                 np.full(best_keep.size, 1.0 / best_keep.size),
-                                 provenance=candidates.provenance)
-        refit, _ = _solve_reweight(support, system[:, best_keep], targets, 0.0,
-                                   start=np.arange(best_keep.size))
+    lam = 2.0 * chosen.lo / n
+    positive = chosen.a_lo > 0.0
+    keep, a = chosen.support[positive], chosen.a_lo[positive]
+    residual = float(np.linalg.norm(system[:, keep] @ a - targets))
+    best = _fitted_grid(pool, keep, a, residual, n, lam)
+    if refit_support and keep.size > 0:
+        support = GridQuadrature(pool.points[keep],
+                                 np.full(keep.size, 1.0 / keep.size),
+                                 provenance=pool.provenance)
+        refit, _ = _solve_reweight(support, system[:, keep], targets, 0.0,
+                                   start=np.arange(keep.size))
         best = GridQuadrature(
             refit.points, refit.weights, normalized=False,
             provenance=best.provenance + " refit(lam=0 on selected support)")
-    return BisectResult(best_lam, best, lo, nnz_lo)
+    return BisectResult(lam, best, (segment.hi + segment.lo) / n,
+                        segment.support.size, segment.events)

@@ -176,6 +176,9 @@ class TestSweep:
         ("methods", []), ("D", []), ("M", []), ("seeds", []),
         ("d", 0), ("D", [8, 0]), ("n_eval", 0), ("pairs", 0),
         ("M", [1.0, -1.0]), ("gamma", 0.0), ("gamma", -1.0),
+        ("d", 2.7), ("D", [8.9]), ("seeds", [0.5]), ("n_eval", 99.5),
+        ("L", 4.5), ("level", 1.5), ("degree", 2.5), ("pairs", 10.5),
+        ("target_D", 3.5), ("D", ["8"]),
     ])
     def test_out_of_range_value_is_named(self, key, value, monkeypatch):
         from quadfeat import harness
@@ -189,6 +192,14 @@ class TestSweep:
         with pytest.raises(ConfigError) as exc:
             sweep(config)
         assert exc.value.key == key
+
+    def test_integral_floats_accepted(self):
+        cfg = SweepConfig.from_dict({"methods": ["rff"], "d": 2.0,
+                                     "gamma": 0.5, "D": [8.0], "M": [1.0],
+                                     "seeds": [np.int64(3)], "pairs": 10.0})
+        assert (cfg.d, cfg.D, cfg.seeds, cfg.pairs) == (2, [8], [3], 10)
+        assert all(type(v) is int for v in (cfg.d, cfg.D[0], cfg.seeds[0],
+                                            cfg.pairs))
 
     def test_deterministic_modulo_timing(self):
         config = {"methods": ["rff", "subsampled"], "d": 3, "gamma": 0.5,

@@ -240,6 +240,38 @@ class TestReweight:
         assert objective(ours) <= objective(a) + 1e-6
 
 
+    def test_folded_pool_keeps_the_first_of_each_twin(self):
+        candidates = subsample_dense_grid(8, 3, 400, seed=0)
+        pool = solvers._fold_twins(candidates)
+        assert (candidates.count, pool.count) == (77, 48)
+        rows = [tuple(w) for w in candidates.points]
+        kept = [rows.index(tuple(w)) for w in pool.points]
+        assert kept == sorted(kept)
+        for i, w in zip(kept, pool.points):
+            mirror = tuple(0.0 - w)
+            assert mirror not in rows[:i]
+        assert solvers._fold_twins(pool) is pool
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_folding_keeps_the_estimate(self, monkeypatch, lam):
+        candidates = subsample_dense_grid(8, 3, 400, seed=0)
+        rng = np.random.default_rng(53)
+        pairs = (rng.standard_normal((300, 3)), rng.standard_normal((300, 3)))
+        kernel = GaussianKernel(0.5)
+        folded = reweight(candidates, pairs, kernel, lam)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_fold_twins", lambda c: c)
+            unfolded = reweight(candidates, pairs, kernel, lam)
+        U = 1.5 * rng.standard_normal((2000, 3))
+
+        def estimate(g):
+            return np.cos(U @ g.points.T) @ g.weights
+
+        assert folded.count < candidates.count
+        np.testing.assert_allclose(estimate(folded), estimate(unfolded),
+                                   rtol=0, atol=1e-12)
+
+
 class TestBisectLambda:
     def test_returns_base_solution_when_target_is_loose(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=17)
@@ -282,6 +314,15 @@ class TestBisectLambda:
 
         assert mse(refit.grid) <= mse(raw.grid) + 1e-12
 
+    def test_steps_count_path_events(self):
+        candidates, pairs, kernel = synthetic_reweight_problem(seed=3, n=200,
+                                                               pool=120, d=3)
+        p = solvers._fold_twins(candidates).count
+        res = bisect_lambda(candidates, pairs, kernel, 5)
+        assert 0 < res.steps <= 3 * p
+        loose = bisect_lambda(candidates, pairs, kernel, 1000)
+        assert loose.steps == 0
+
 
 def recorded_bisection(monkeypatch, candidates, pairs, kernel, target,
                        cold=False):
@@ -311,23 +352,6 @@ class TestWarmStart:
 
     CASES = [dict(seed=23, n=100, pool=60), dict(seed=29, n=100, pool=60),
              dict(seed=3, n=200, pool=120, d=3)]
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_warm_and_cold_solves_agree_along_the_bisection(self, monkeypatch,
-                                                            case):
-        candidates, pairs, kernel = synthetic_reweight_problem(**case)
-        target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
-        _, calls = recorded_bisection(monkeypatch, candidates, pairs, kernel,
-                                      target)
-        warm = [c for c in calls if c[3] is not None]
-        assert len(warm) >= 30
-        for M, b, shift, _, sol in warm:
-            cold = solvers._lawson_hanson(M, b, shift, 1e-10, None)
-            np.testing.assert_array_equal(sol.a > 0, cold.a > 0)
-            ours = penalized_objective(M, b, shift, sol.a)
-            ref = penalized_objective(M, b, shift, cold.a)
-            assert abs(ours - ref) <= 1e-12 * abs(ref)
-            assert sol.iterations <= cold.iterations
 
     @pytest.mark.parametrize("case", CASES)
     def test_bisection_matches_an_all_cold_run(self, monkeypatch, case):
@@ -360,6 +384,64 @@ class TestWarmStart:
         np.testing.assert_array_equal(warm.a > 0, cold.a > 0)
         assert warm.residual_norm == pytest.approx(cold.residual_norm,
                                                    rel=1e-12)
+
+
+def anova_subset_problem(si):
+    """Subset ``si`` of the anova-reweight benchmark workload at seed 0: 500
+    training pairs from the 40-dimensional mixture, 160 draws from the
+    8-point rule on the subset's 5 coordinates, 40 points to keep."""
+    from quadfeat import harness, kernels
+    data = harness.synthetic_mixture(10_000, seed=0, d=40)
+    kernel = kernels.random_anova(d=40, m=10, subset_size=5, gamma=0.1, seed=0)
+    X, Y = harness.sample_pairs(data, 500, 0)
+    idx = np.array(kernel.subsets[si]) - 1
+    candidates = subsample_dense_grid(8, 5, 160, seed=si)
+    return candidates, (X[:, idx], Y[:, idx]), GaussianKernel(0.1), 40
+
+
+def path_problem(case):
+    if isinstance(case, int):
+        return anova_subset_problem(case)
+    candidates, pairs, kernel = synthetic_reweight_problem(**case)
+    target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
+    return candidates, pairs, kernel, target
+
+
+class TestPath:
+    """The nonnegative-lasso path against cold solves at fixed penalties."""
+
+    CASES = TestWarmStart.CASES + list(range(10))
+    IDS = [f"synthetic-{c['seed']}" for c in TestWarmStart.CASES] + [
+        f"anova-subset-{si}" for si in range(10)]
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_cold_solves_agree_at_segment_midpoints(self, case):
+        candidates, pairs, kernel, target = path_problem(case)
+        pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+        # folding leaves one column per distinct cos column
+        assert np.linalg.matrix_rank(M) == M.shape[1]
+        segments = list(solvers._nonneg_lasso_path(M, b))
+        assert max(seg.support.size for seg in segments) > target
+        assert segments[-1].lo == 0.0
+        for seg in segments:
+            mid = 0.5 * (seg.hi + seg.lo)
+            a = np.zeros(M.shape[1])
+            a[seg.support] = 0.5 * (seg.a_hi + seg.a_lo)
+            cold = solvers._lawson_hanson(M, b, mid, 1e-10, None)
+            np.testing.assert_array_equal(a > 0, cold.a > 0)
+            ref = penalized_objective(M, b, mid, cold.a)
+            assert abs(penalized_objective(M, b, mid, a) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_selection_is_certified_by_cold_solves(self, case):
+        candidates, pairs, kernel, target = path_problem(case)
+        res = bisect_lambda(candidates, pairs, kernel, target,
+                            refit_support=False)
+        assert res.grid.count == target
+        assert reweight(candidates, pairs, kernel, res.lam).count == target
+        assert res.nnz_below == target + 1
+        below = reweight(candidates, pairs, kernel, res.lam_below)
+        assert below.count == res.nnz_below
 
 
 class TestKktOnHardSystems:
