@@ -61,10 +61,8 @@ def _add_common_flags(p: argparse.ArgumentParser, lists: bool = False) -> None:
     p.add_argument("--pairs", type=int, default=500,
                    help="training pairs for reweighting")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="fixed l1 penalty (otherwise chosen on the "
-                        "l1 path to keep at most --target-D points)")
-    p.add_argument("--target-D", type=int, default=None,
-                   help="support size target for reweighting")
+                   help="fixed l1 penalty for reweighting (otherwise chosen "
+                        "on the l1 path to keep at most --D points)")
     p.add_argument("--anova", type=str, default=None,
                    help="ANOVA structure JSON path")
     p.add_argument("--out", type=str, default=None, help="output path")
@@ -77,14 +75,13 @@ def _build_map(args, data=None):
         kernel = load_anova(args.anova)
         fm = build_anova_map(kernel, args.method, args.D, args.seed,
                              L=args.L, level=args.level, degree=args.degree,
-                             data=data, pairs=args.pairs)
+                             data=data, pairs=args.pairs, lam=args.lam)
         return fm, kernel, kernel.base.gamma
     if args.d is None:
         raise SystemExit("--d is required without --anova")
     fm = build_method_map(args.method, args.d, args.D, args.gamma, args.seed,
                           L=args.L, level=args.level, degree=args.degree,
-                          data=data, pairs=args.pairs, lam=args.lam,
-                          target_D=args.target_D)
+                          data=data, pairs=args.pairs, lam=args.lam)
     return fm, GaussianKernel(args.gamma), args.gamma
 
 
@@ -144,8 +141,6 @@ def cmd_sweep(args) -> int:
             raw["data"] = args.data
         if args.lam is not None:
             raw["lam"] = args.lam
-        if args.target_D is not None:
-            raw["target_D"] = args.target_D
         cfg = SweepConfig.from_dict(raw)
     reports = sweep(cfg)
     if args.out:

@@ -217,10 +217,9 @@ class SweepConfig:
     data: Optional[str] = None
     pairs: int = 500
     lam: Optional[float] = None
-    target_D: Optional[int] = None
 
     _KEYS = ("methods", "d", "gamma", "D", "M", "seeds", "n_eval", "L",
-             "level", "degree", "data", "pairs", "lam", "target_D")
+             "level", "degree", "data", "pairs", "lam")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -245,8 +244,6 @@ class SweepConfig:
             cfg.data = str(raw["data"])
         if raw.get("lam") is not None:
             cfg.lam = float(raw["lam"])
-        if raw.get("target_D") is not None:
-            cfg.target_D = _integer(raw["target_D"], "target_D")
         for key in ("methods", "D", "M", "seeds"):
             if not getattr(cfg, key):
                 raise ConfigError(f"sweep config key {key!r} is empty", key=key)
@@ -256,16 +253,19 @@ class SweepConfig:
         for key, low in (("d", 1), ("D", 1), ("n_eval", 1), ("pairs", 1), ("M", 0)):
             if min(np.atleast_1d(getattr(cfg, key))) < low:
                 raise ConfigError(f"sweep config key {key!r} must be >= {low}", key=key)
-        if not cfg.gamma > 0:
-            raise ConfigError("sweep config key 'gamma' must be positive", key="gamma")
+        for key, ok, rule in (
+                ("gamma", 0 < cfg.gamma < math.inf, "positive and finite"),
+                ("M", all(map(math.isfinite, cfg.M)), "finite"),
+                ("lam", cfg.lam is None or 0 <= cfg.lam < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"sweep config key {key!r} must be {rule}", key=key)
         return cfg
 
 
 def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
                      L: int = 8, level: int = 2, degree: int = 2,
                      data: Optional[Dataset] = None, pairs: int = 500,
-                     lam: Optional[float] = None,
-                     target_D: Optional[int] = None) -> FeatureMap:
+                     lam: Optional[float] = None) -> FeatureMap:
     """Construct one feature map by CLI method name."""
     if method == "rff":
         return rff(d, D, gamma, seed)
@@ -283,31 +283,37 @@ def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
     if method == "reweighted":
         if data is None:
             raise ConfigError("reweighted method needs a dataset", key="data")
-        target = target_D if target_D is not None else D
-        pool = subsample_dense_grid(L, d, 4 * target, seed)
-        train = sample_pairs(data, pairs, seed)
-        kernel = GaussianKernel(gamma)
-        if lam is not None:
-            grid = reweight(pool, train, kernel, lam)
-        else:
-            grid = bisect_lambda(pool, train, kernel, target).grid
-        return FeatureMap(grid, "reweighted", gamma)
+        return _reweighted_map(L, d, D, gamma, seed, sample_pairs(data, pairs, seed),
+                               lam)
     raise ConfigError(f"unknown method {method!r}", key="methods")
+
+
+def _reweighted_map(L: int, d: int, D: int, gamma: float, seed: int,
+                    train: tuple[np.ndarray, np.ndarray],
+                    lam: Optional[float]) -> FeatureMap:
+    """Reweighted draws of 4 D points from the L-point lattice: at the fixed
+    penalty ``lam``, or else at the one the l1 path picks to keep D points."""
+    pool = subsample_dense_grid(L, d, 4 * D, seed)
+    kernel = GaussianKernel(gamma)
+    if lam is not None:
+        grid = reweight(pool, train, kernel, lam)
+    else:
+        grid = bisect_lambda(pool, train, kernel, D).grid
+    return FeatureMap(grid, "reweighted", gamma)
 
 
 def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
                     L: int = 8, level: int = 2, degree: int = 2,
-                    data: Optional[Dataset] = None,
-                    pairs: int = 500) -> AnovaFeatureMap:
+                    data: Optional[Dataset] = None, pairs: int = 500,
+                    lam: Optional[float] = None) -> AnovaFeatureMap:
     """Per-subset feature maps for an ANOVA kernel, one seed stream each.
 
     ``D_S`` is the per-subset feature count; the composite has
     sum over S of D_S quadrature points.  The reweighted method fits each
     sub-kernel on its own coordinates, reusing one shared draw of training
-    pairs across subsets.
+    pairs across subsets, at the penalty ``lam`` as in ``build_method_map``.
     """
     gamma = kernel.base.gamma
-    base = GaussianKernel(gamma)
     train = sample_pairs(data, pairs, seed) if data is not None else None
     sub_maps = []
     for si, S in enumerate(kernel.subsets):
@@ -317,10 +323,8 @@ def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
             if train is None:
                 raise ConfigError("reweighted method needs a dataset", key="data")
             idx = np.array(S) - 1
-            pool = subsample_dense_grid(L, dim, 4 * D_S, sub_seed)
-            res = bisect_lambda(pool, (train[0][:, idx], train[1][:, idx]),
-                                base, D_S)
-            fm = FeatureMap(res.grid, "reweighted", gamma)
+            fm = _reweighted_map(L, dim, D_S, gamma, sub_seed,
+                                 (train[0][:, idx], train[1][:, idx]), lam)
         else:
             fm = build_method_map(method, dim, D_S, gamma, sub_seed,
                                   L=L, level=level, degree=degree)
@@ -362,8 +366,7 @@ def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
                             method, config.d, D, config.gamma, seed,
                             L=config.L, level=config.level,
                             degree=config.degree, data=data,
-                            pairs=config.pairs, lam=config.lam,
-                            target_D=config.target_D)
+                            pairs=config.pairs, lam=config.lam)
                         build_ms = round_ms(t0)
                     fm = built[key]
                     t1 = time.perf_counter()

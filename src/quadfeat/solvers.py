@@ -9,22 +9,21 @@ costs O(nk + k^2) on top of the O(np) gradient, with k the passive-set
 size, and no p x p Gram matrix is ever formed.  Each passive solve is
 refined once against M_P so that update errors do not accumulate.  A
 column that is numerically dependent on the passive set is passed over
-for that step, as in Lawson & Hanson (1974, ch. 23); under an l1 penalty
-it is instead exchanged for a passive column, which keeps the fit and
-lowers the penalty.
+for that step, as in Lawson & Hanson (1974, ch. 23).
 
 On top of it sit
 
 * ``construct_poly_exact``: random spectral candidates reweighted to match
   every normal moment of total degree <= R, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
-  squared kernel error over sampled pairs, with an optional l1 penalty
-  (folded into the linear term of the KKT system), and ``bisect_lambda``,
-  which picks the penalty for a target support size.  It walks the exact
-  nonnegative-lasso path (positive LARS) once, from the largest useful
-  penalty down, one entering or leaving column per step; the path reuses
-  the passive-set inverse and its updates, and each step costs O(np).
-  Both fold mirror pairs w, -w of the candidates into one column first.
+  squared kernel error over sampled pairs, with an optional l1 penalty,
+  and ``bisect_lambda``, which picks the penalty for a target support
+  size.  Every penalized fit is read off the exact nonnegative-lasso path
+  (positive LARS), walked from the largest useful penalty down, one
+  entering or leaving column per step; the path reuses the passive-set
+  inverse and its updates, and each step costs O(np).  Lawson-Hanson
+  solves the unpenalized fits.  Both fold mirror pairs w, -w of the
+  candidates into one column first.
 
 Reweighted grids keep their fitted scale: the least-squares objective
 governs, so the weights are deliberately not renormalized to sum to 1.
@@ -53,7 +52,7 @@ POLY_EXACT_TOL = 1e-8  # worst moment violation a poly-exact rule may keep
 
 @dataclass(frozen=True)
 class NnlsSolution:
-    """Solution of min ||Ma - b||^2 s.t. a >= 0 (plus optional linear term)."""
+    """Solution of min ||Ma - b||^2 s.t. a >= 0."""
 
     a: np.ndarray
     residual_norm: float
@@ -73,7 +72,7 @@ def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     iterations, default 3p.
     """
     return _lawson_hanson(np.asarray(M, dtype=float), np.asarray(b, dtype=float),
-                          shift=0.0, tol=tol, max_iter=max_iter)
+                          tol=tol, max_iter=max_iter)
 
 
 class _PassiveSet:
@@ -97,10 +96,9 @@ class _PassiveSet:
     def indices(self) -> np.ndarray:
         return self.idx[:self.k]
 
-    def add(self, j: int) -> Optional[np.ndarray]:
-        """Border the inverse with column j.  If j is numerically dependent
-        on the passive columns, leave the set unchanged and return the
-        coefficients h with M_j = M_P h."""
+    def add(self, j: int) -> bool:
+        """Border the inverse with column j; False, and the set unchanged,
+        if j is numerically dependent on the passive columns."""
         k = self.k
         col = self.MT[j]
         g = float(col @ col)
@@ -108,14 +106,14 @@ class _PassiveSet:
         h = self.inv[:k, :k] @ c
         s = g - float(c @ h)
         if k == self.idx.size or not s > _DEPENDENT * g:
-            return h
+            return False
         self.inv[:k, :k] += np.outer(h / s, h)
         self.inv[:k, k] = self.inv[k, :k] = -h / s
         self.inv[k, k] = 1.0 / s
         self.rows[k] = col
         self.idx[k] = j
         self.k = k + 1
-        return None
+        return True
 
     def remove(self, positions: np.ndarray) -> None:
         """Drop the passive columns at ``positions`` by rank-one downdates."""
@@ -157,10 +155,10 @@ class _PassiveSet:
         return self.rows[:self.k].T @ z
 
 
-def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
-                   tol: float, max_iter: Optional[int],
+def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
+                   max_iter: Optional[int],
                    start: Optional[np.ndarray] = None) -> NnlsSolution:
-    """Minimize 0.5||Ma - b||^2 + shift * 1'a subject to a >= 0.
+    """Minimize 0.5||Ma - b||^2 subject to a >= 0.
 
     ``start`` is an optional initial passive set.  Non-positive
     coefficients are dropped from it until the least-squares fit on the
@@ -175,8 +173,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
         max_iter = 3 * p
     MT = np.ascontiguousarray(M.T)
     MTb = MT @ b
-    f = MTb - shift
-    scale = float(np.linalg.norm(f)) or 1.0
+    scale = float(np.linalg.norm(MTb)) or 1.0
     a = np.zeros(p)
     Ma = np.zeros(n)
     ps = _PassiveSet(MT, b, MTb)
@@ -185,7 +182,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
 
     def current_objective():
         r = Ma - b
-        return 0.5 * float(r @ r) + shift * float(a.sum())
+        return 0.5 * float(r @ r)
 
     def solution():
         active = tuple(np.flatnonzero(a == 0.0).tolist())
@@ -194,7 +191,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
 
     if start is not None and ps.reset(np.asarray(start, dtype=np.intp)):
         while ps.k:
-            z = ps.solve(shift)
+            z = ps.solve(0.0)
             if z.min() > 0.0:
                 a[ps.indices] = z
                 Ma = ps.fit(z)
@@ -203,7 +200,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
 
     while True:
         objectives.append(current_objective())
-        w = f - MT @ Ma
+        w = MTb - MT @ Ma
         w[ps.indices] = -np.inf
         if not p or w.max() <= tol * scale:
             return solution()
@@ -213,22 +210,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
                 f"NNLS did not converge within {max_iter} iterations",
                 iterations=outer, best=solution())
         outer += 1
-        while (h := ps.add(j)) is not None:
-            P = ps.indices
-            if shift > 0.0 and h.max() > 0.0:
-                # w_P = 0 gives w_j = shift (1'h - 1) > 0: trading the
-                # combination h for column j keeps the fit and lowers the
-                # penalty until a passive coefficient reaches zero
-                pos = np.flatnonzero(h > 0.0)
-                ratios = a[P][pos] / h[pos]
-                t = float(ratios.min())
-                ap = a[P] - t * h
-                ap[pos[np.argmin(ratios)]] = 0.0
-                keep = ap > 1e-15 * float(ap.max())
-                a[P] = np.where(keep, ap, 0.0)
-                a[j] += t
-                ps.remove(np.flatnonzero(~keep))
-                continue
+        while not ps.add(j):
             # Lawson & Hanson's rule: a dependent column cannot lower the
             # unpenalized objective, so it is passed over for this step
             w[j] = -np.inf
@@ -242,7 +224,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, shift: float,
             if inner > p + 1:
                 raise ConvergenceError(
                     "NNLS inner loop cycled", iterations=outer, best=solution())
-            z = ps.solve(shift)
+            z = ps.solve(0.0)
             P = ps.indices
             if z.min() > 0.0:
                 a[P] = z
@@ -357,29 +339,24 @@ def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
     return pool, system, targets
 
 
-def _fitted_grid(candidates: GridQuadrature, keep: np.ndarray, a: np.ndarray,
-                 residual_norm: float, n: int, lam: float) -> GridQuadrature:
-    """The candidates at ``keep`` with fitted weights ``a``."""
-    mse = residual_norm**2 / n
-    return GridQuadrature(
-        candidates.points[keep], a, normalized=False,
-        provenance=f"reweighted(lam={lam!r}, n={n}, "
-                   f"sum_a={a.sum()!r}, mse={mse!r}) "
-                   f"of {candidates.provenance}")
-
-
-def _solve_reweight(candidates: GridQuadrature, system: np.ndarray,
-                    targets: np.ndarray, lam: float,
-                    start: Optional[np.ndarray] = None
-                    ) -> tuple[GridQuadrature, np.ndarray]:
-    """The fitted grid and the candidate indices of its support."""
+def _fitted_grid(pool: GridQuadrature, system: np.ndarray, targets: np.ndarray,
+                 keep: np.ndarray, a: np.ndarray, how: str) -> GridQuadrature:
+    """The pool points at ``keep`` with fitted weights ``a``."""
     n = system.shape[0]
-    # (1/n)||Ma-b||^2 + lam 1'a  ==  (2/n) * (0.5||Ma-b||^2 + (n lam / 2) 1'a)
-    sol = _lawson_hanson(system, targets, shift=0.5 * n * lam,
-                         tol=1e-10, max_iter=None, start=start)
+    r = system[:, keep] @ a - targets
+    return GridQuadrature(
+        pool.points[keep], a, normalized=False,
+        provenance=f"reweighted({how}, n={n}, sum_a={a.sum()!r}, "
+                   f"mse={float(r @ r) / n!r}) of {pool.provenance}")
+
+
+def _unpenalized_fit(system: np.ndarray, targets: np.ndarray,
+                     start: Optional[np.ndarray] = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Support and weights of the Lawson-Hanson fit at lam = 0."""
+    sol = _lawson_hanson(system, targets, tol=1e-10, max_iter=None, start=start)
     keep = np.flatnonzero(sol.a > 0.0)
-    grid = _fitted_grid(candidates, keep, sol.a[keep], sol.residual_norm, n, lam)
-    return grid, keep
+    return keep, sol.a[keep]
 
 
 def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
@@ -387,20 +364,26 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     """Refit grid weights to observed kernel values.
 
     Builds M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
-    minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0.  Of each mirror
-    pair w, -w in the candidates only the first is fitted, since both give
-    the same column.  Zero-weight points are dropped, and the weight sum is
-    left at its fitted value.
+    minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0: by Lawson-Hanson at
+    lam = 0, on the l1 path otherwise.  Of each mirror pair w, -w in the
+    candidates only the first is fitted, since both give the same column.
+    Zero-weight points are dropped, and the weight sum is left at its
+    fitted value.
     ``kernel`` may be a GaussianKernel, AnovaKernel, or a callable of one
     displacement row (pass ``gamma`` explicitly in the callable case; it sets
     the sqrt(2 gamma) node scaling).
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be non-negative, got {lam!r}")
     if not candidates.nonnegative:
         raise ValueError("candidate grids must have non-negative weights")
     pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
-    return _solve_reweight(pool, system, targets, lam)[0]
+    if lam == 0.0:
+        keep, a = _unpenalized_fit(system, targets)
+    else:
+        # (1/n)||Ma-b||^2 + lam 1'a  ==  (2/n) * (0.5||Ma-b||^2 + (n lam / 2) 1'a)
+        keep, a = _path_solution(system, targets, 0.5 * system.shape[0] * lam)
+    return _fitted_grid(pool, system, targets, keep, a, f"lam={lam!r}")
 
 
 @dataclass(frozen=True)
@@ -419,6 +402,18 @@ class _PathSegment:
     a_hi: np.ndarray
     a_lo: np.ndarray
     events: int
+
+    def at(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Support and coefficients at hi >= s >= lo.  As in Lawson-Hanson,
+        coefficients at rounding level of the largest are zeroed: a penalty
+        taken from a breakpoint may round-trip to just below it, where the
+        entering column would otherwise keep a weight of ~1e-16."""
+        if s == self.lo:
+            a = self.a_lo
+        else:
+            a = self.a_hi + (self.hi - s) / (self.hi - self.lo) * (self.a_lo - self.a_hi)
+        keep = a > 1e-15 * a.max(initial=0.0)
+        return self.support[keep], a[keep]
 
 
 def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
@@ -472,7 +467,7 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
                 ps.remove(np.array([i]))
                 passed[:] = False
                 break
-            if ps.add(j) is None:
+            if ps.add(j):
                 break
             passed[j] = True
             t_in[j] = np.inf
@@ -486,15 +481,28 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
         s -= step
 
 
+def _path_solution(M: np.ndarray, b: np.ndarray, s: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Support and coefficients of min 0.5||Ma - b||^2 + s 1'a over a >= 0,
+    for s > 0, read off the segment of the l1 path that contains s."""
+    for segment in _nonneg_lasso_path(M, b):
+        if s >= segment.hi:
+            break  # s is at or above the first breakpoint: a = 0
+        if s >= segment.lo:
+            return segment.at(s)
+    return np.zeros(0, dtype=np.intp), np.zeros(0)
+
+
 @dataclass(frozen=True)
 class BisectResult:
     """Outcome of the support-size selection on the l1 path.
 
-    ``lam``/``grid`` is the accepted solution, with at most ``target_D``
-    points.  ``lam_below``/``nnz_below`` certify the crossing: a lower
-    penalty and its support size, larger than the target, or None when the
-    unpenalized fit was already small enough.  ``steps`` counts the path
-    events (entries plus exits) walked to reach the crossing, 0 without one.
+    ``grid`` is the accepted rule, with at most ``D`` points, and
+    ``lam`` the penalty that selected its support.  ``lam_below``/``nnz_below``
+    certify the crossing: a lower penalty and its support size, larger than
+    the target, or None when the unpenalized fit was already small enough.
+    ``steps`` counts the path events (entries plus exits) walked to reach
+    the crossing, 0 without one.
     """
 
     lam: float
@@ -505,9 +513,8 @@ class BisectResult:
 
 
 def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
-                  target_D: int, gamma: Optional[float] = None,
-                  refit_support: bool = True) -> BisectResult:
-    """Choose the l1 penalty at which ``target_D`` points survive.
+                  D: int, gamma: Optional[float] = None) -> BisectResult:
+    """Choose the l1 penalty at which ``D`` points survive.
 
     Walks the exact path of the penalized fit (1/n)||Ma - b||^2 + lam 1'a,
     a >= 0, from the penalty at which the first candidate enters down
@@ -515,48 +522,41 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     support.  The support size is not monotone in lam, since points also
     leave as the penalty falls, so the selection is the first crossing
     walking down: the support just above the largest breakpoint at which
-    an entry would grow it past ``target_D``.  That support has exactly
-    ``target_D`` points, and ``lam`` is the breakpoint.  Lower penalties
-    at which the support returns to ``target_D`` points are not visited.
+    an entry would grow it past ``D``.  That support has exactly
+    ``D`` points, and ``lam`` is the breakpoint.  Lower penalties
+    at which the support returns to ``D`` points are not visited.
     ``lam_below`` is the midpoint of the next segment of the path and
-    ``nnz_below`` its support size, ``target_D + 1``, which a solve at
-    ``lam_below`` reproduces.  When the path reaches lam = 0 without
-    passing ``target_D``, the unpenalized fit is returned with lam = 0.
+    ``nnz_below`` its support size, ``D + 1``, which ``reweight``
+    at ``lam_below`` reproduces.  When the path reaches lam = 0 without
+    passing ``D``, its end, the unpenalized fit, is returned with
+    lam = 0.
 
     Mirror pairs w, -w in the candidates are folded as in ``reweight``.
-    With ``refit_support`` (the default) the penalty only selects the
-    support: the returned weights are refit at lam = 0 restricted to the
-    surviving points, so hitting a small target does not cost systematic
-    shrinkage of the weight sum.  Pass False for the penalized solution at
-    ``lam``.
+    The penalty only selects the support: the weights are refit at lam = 0
+    on the surviving points, so hitting a small target does not cost
+    systematic shrinkage of the weight sum; ``reweight`` at ``lam`` gives
+    the penalized solution.
     """
-    if target_D < 1:
-        raise ValueError("target_D must be positive")
+    if D < 1:
+        raise ValueError("D must be positive")
     pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
     n = system.shape[0]
     chosen = None
     for segment in _nonneg_lasso_path(system, targets):
-        if segment.support.size > target_D:
+        if segment.support.size > D:
             break
         chosen = segment
     else:
-        start = None if chosen is None else chosen.support
-        base, _ = _solve_reweight(pool, system, targets, 0.0, start=start)
-        return BisectResult(0.0, base, None, None)
+        keep, a = chosen.at(0.0) if chosen else (np.zeros(0, dtype=np.intp),
+                                                 np.zeros(0))
+        return BisectResult(0.0, _fitted_grid(pool, system, targets, keep, a,
+                                              "lam=0.0"), None, None)
 
     lam = 2.0 * chosen.lo / n
-    positive = chosen.a_lo > 0.0
-    keep, a = chosen.support[positive], chosen.a_lo[positive]
-    residual = float(np.linalg.norm(system[:, keep] @ a - targets))
-    best = _fitted_grid(pool, keep, a, residual, n, lam)
-    if refit_support and keep.size > 0:
-        support = GridQuadrature(pool.points[keep],
-                                 np.full(keep.size, 1.0 / keep.size),
-                                 provenance=pool.provenance)
-        refit, _ = _solve_reweight(support, system[:, keep], targets, 0.0,
-                                   start=np.arange(keep.size))
-        best = GridQuadrature(
-            refit.points, refit.weights, normalized=False,
-            provenance=best.provenance + " refit(lam=0 on selected support)")
-    return BisectResult(lam, best, (segment.hi + segment.lo) / n,
+    support, _ = chosen.at(chosen.lo)
+    keep, a = _unpenalized_fit(system[:, support], targets,
+                               start=np.arange(support.size))
+    grid = _fitted_grid(pool, system, targets, support[keep], a,
+                        f"lam={lam!r}, refit at lam=0 on its support")
+    return BisectResult(lam, grid, (segment.hi + segment.lo) / n,
                         segment.support.size, segment.events)

@@ -110,8 +110,23 @@ def test_reweighted_via_cli(tmp_path, data_csv):
     out = tmp_path / "rw.csv"
     assert main(["eval", "--method", "reweighted", "--d", "4", "--D", "30",
                  "--gamma", "0.5", "--data", data_csv, "--pairs", "60",
-                 "--target-D", "30", "--diameter", "1.0", "--n-eval", "500",
+                 "--diameter", "1.0", "--n-eval", "500",
                  "--seed", "0", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == REPORT_HEADER
     assert lines[1].startswith("reweighted,4,")
+
+
+def test_lambda_reaches_anova_reweighting(tmp_path, data_csv, capsys):
+    kernel = random_anova(d=4, m=2, subset_size=2, gamma=0.5, seed=4)
+    spec_path = tmp_path / "anova.json"
+    save_anova(kernel, str(spec_path))
+    args = ["eval", "--method", "reweighted", "--anova", str(spec_path),
+            "--data", data_csv, "--D", "12", "--pairs", "60", "--L", "4",
+            "--n-eval", "500", "--seed", "0"]
+    rows = []
+    for extra in ([], ["--lambda", "0.05"]):
+        assert main(args + extra) == 0
+        out = capsys.readouterr().out
+        rows.append(strip_timing_columns(out).splitlines()[1])
+    assert rows[0] != rows[1]

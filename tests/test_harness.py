@@ -178,7 +178,11 @@ class TestSweep:
         ("M", [1.0, -1.0]), ("gamma", 0.0), ("gamma", -1.0),
         ("d", 2.7), ("D", [8.9]), ("seeds", [0.5]), ("n_eval", 99.5),
         ("L", 4.5), ("level", 1.5), ("degree", 2.5), ("pairs", 10.5),
+        # not a key: D is the support-size target
         ("target_D", 3.5), ("D", ["8"]),
+        ("gamma", math.nan), ("gamma", math.inf), ("M", [math.nan]),
+        ("M", [1.0, math.inf]), ("lam", -0.1), ("lam", math.nan),
+        ("lam", math.inf),
     ])
     def test_out_of_range_value_is_named(self, key, value, monkeypatch):
         from quadfeat import harness

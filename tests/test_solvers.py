@@ -41,6 +41,28 @@ def brute_force_nnls_objective(M, b):
     return best
 
 
+def penalized_objective(M, b, shift, a):
+    r = M @ a - b
+    return 0.5 * float(r @ r) + shift * float(a.sum())
+
+
+def brute_force_penalized_objective(M, b, shift):
+    """Try every support of independent columns: the stationary point of
+    0.5||M_S a - b||^2 + shift 1'a, feasibility filter.  Some optimum has
+    such a support, with the stationary point as its coefficients."""
+    n, p = M.shape
+    best = 0.5 * float(b @ b)  # the all-zero solution
+    for size in range(1, min(n, p) + 1):
+        for support in itertools.combinations(range(p), size):
+            sub = M[:, support]
+            if np.linalg.matrix_rank(sub) < size:
+                continue
+            coef = np.linalg.solve(sub.T @ sub, sub.T @ b - shift)
+            if (coef >= -1e-12).all():
+                best = min(best, penalized_objective(sub, b, shift, coef))
+    return best
+
+
 def kkt_residuals(M, b, a, scale):
     grad = M.T @ (M @ a - b)
     on = np.abs(grad[a > 0]) if (a > 0).any() else np.zeros(1)
@@ -169,6 +191,12 @@ class TestReweight:
         g = reweight(candidates, pairs, kernel, lam)
         assert g.count == 0
 
+    @pytest.mark.parametrize("lam", [-0.1, math.nan])
+    def test_negative_or_nan_penalty_rejected(self, lam):
+        candidates, pairs, kernel = synthetic_reweight_problem()
+        with pytest.raises(ValueError, match="non-negative"):
+            reweight(candidates, pairs, kernel, lam)
+
     def test_planted_single_atom_recovered(self):
         rng = np.random.default_rng(5)
         d = 2
@@ -239,6 +267,26 @@ class TestReweight:
             ours[idx] = w
         assert objective(ours) <= objective(a) + 1e-6
 
+    def test_penalized_fit_matches_exhaustive_oracle(self):
+        rng = np.random.default_rng(59)
+        wider = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            candidates = subsample_dense_grid(4, 2, int(rng.integers(3, 12)),
+                                              seed=trial)
+            pairs = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+            kernel = GaussianKernel(0.5)
+            pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+            wider += M.shape[1] > n
+            shift = float(rng.uniform(0.05, 1.0)) * max(float((M.T @ b).max()), 1e-3)
+            lam = 2.0 * shift / n
+            g = reweight(candidates, pairs, kernel, lam)
+            fitted = np.cos((pairs[0] - pairs[1]) @ g.points.T)
+            ours = penalized_objective(fitted, b, shift, g.weights)
+            ref = brute_force_penalized_objective(M, b, shift)
+            assert ours == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert wider >= 10
+
 
     def test_folded_pool_keeps_the_first_of_each_twin(self):
         candidates = subsample_dense_grid(8, 3, 400, seed=0)
@@ -275,13 +323,13 @@ class TestReweight:
 class TestBisectLambda:
     def test_returns_base_solution_when_target_is_loose(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=17)
-        res = bisect_lambda(candidates, pairs, kernel, target_D=1000)
+        res = bisect_lambda(candidates, pairs, kernel, D=1000)
         assert res.lam == 0.0
         assert res.lam_below is None
 
     def test_single_point_target(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=19)
-        res = bisect_lambda(candidates, pairs, kernel, target_D=1)
+        res = bisect_lambda(candidates, pairs, kernel, D=1)
         assert res.grid.count == 1
 
     def test_bracket_certificate(self):
@@ -304,15 +352,14 @@ class TestBisectLambda:
         base = reweight(candidates, pairs, kernel, 0.0)
         target = max(2, base.count // 3)
         refit = bisect_lambda(candidates, pairs, kernel, target)
-        raw = bisect_lambda(candidates, pairs, kernel, target,
-                            refit_support=False)
+        raw = reweight(candidates, pairs, kernel, refit.lam)
         U = pairs[0] - pairs[1]
         b = kernel.value(U)
 
         def mse(g):
             return np.mean((b - np.cos(U @ (g.points * 1.0).T) @ g.weights) ** 2)
 
-        assert mse(refit.grid) <= mse(raw.grid) + 1e-12
+        assert mse(refit.grid) <= mse(raw) + 1e-12
 
     def test_steps_count_path_events(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=3, n=200,
@@ -331,20 +378,15 @@ def recorded_bisection(monkeypatch, candidates, pairs, kernel, target,
     real = solvers._lawson_hanson
     calls = []
 
-    def recording(M, b, shift, tol, max_iter, start=None):
-        sol = real(M, b, shift, tol, max_iter, start=None if cold else start)
-        calls.append((M, b, shift, start, sol))
+    def recording(M, b, tol, max_iter, start=None):
+        sol = real(M, b, tol, max_iter, start=None if cold else start)
+        calls.append((M, b, start, sol))
         return sol
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "_lawson_hanson", recording)
         res = bisect_lambda(candidates, pairs, kernel, target)
     return res, calls
-
-
-def penalized_objective(M, b, shift, a):
-    r = M @ a - b
-    return 0.5 * float(r @ r) + shift * float(a.sum())
 
 
 class TestWarmStart:
@@ -380,7 +422,7 @@ class TestWarmStart:
         # a start set that mixes the optimal support with columns that
         # would fit with negative coefficients
         start = np.arange(20)
-        warm = solvers._lawson_hanson(M, b, 0.0, 1e-10, None, start=start)
+        warm = solvers._lawson_hanson(M, b, 1e-10, None, start=start)
         np.testing.assert_array_equal(warm.a > 0, cold.a > 0)
         assert warm.residual_norm == pytest.approx(cold.residual_norm,
                                                    rel=1e-12)
@@ -408,7 +450,8 @@ def path_problem(case):
 
 
 class TestPath:
-    """The nonnegative-lasso path against cold solves at fixed penalties."""
+    """The nonnegative-lasso path against KKT certificates, and the
+    selection against fresh fits at its penalties."""
 
     CASES = TestWarmStart.CASES + list(range(10))
     IDS = [f"synthetic-{c['seed']}" for c in TestWarmStart.CASES] + [
@@ -416,6 +459,7 @@ class TestPath:
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_cold_solves_agree_at_segment_midpoints(self, case):
+        """Every segment midpoint satisfies the KKT conditions."""
         candidates, pairs, kernel, target = path_problem(case)
         pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
         # folding leaves one column per distinct cos column
@@ -423,21 +467,23 @@ class TestPath:
         segments = list(solvers._nonneg_lasso_path(M, b))
         assert max(seg.support.size for seg in segments) > target
         assert segments[-1].lo == 0.0
+        # with full column rank the objective is strictly convex, so the
+        # KKT conditions certify the unique optimum, support included
+        scale = np.linalg.norm(M.T @ b)
         for seg in segments:
             mid = 0.5 * (seg.hi + seg.lo)
             a = np.zeros(M.shape[1])
             a[seg.support] = 0.5 * (seg.a_hi + seg.a_lo)
-            cold = solvers._lawson_hanson(M, b, mid, 1e-10, None)
-            np.testing.assert_array_equal(a > 0, cold.a > 0)
-            ref = penalized_objective(M, b, mid, cold.a)
-            assert abs(penalized_objective(M, b, mid, a) - ref) <= 1e-12 * abs(ref)
+            assert (a[seg.support] > 0).all()
+            grad = M.T @ (M @ a - b) + mid
+            assert np.abs(grad[a > 0]).max() <= 1e-10 * scale
+            assert -grad[a == 0].min(initial=0.0) <= 1e-10 * scale
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_selection_is_certified_by_cold_solves(self, case):
         candidates, pairs, kernel, target = path_problem(case)
-        res = bisect_lambda(candidates, pairs, kernel, target,
-                            refit_support=False)
-        assert res.grid.count == target
+        res = bisect_lambda(candidates, pairs, kernel, target)
+        assert res.grid.count <= target
         assert reweight(candidates, pairs, kernel, res.lam).count == target
         assert res.nnz_below == target + 1
         below = reweight(candidates, pairs, kernel, res.lam_below)
@@ -457,11 +503,13 @@ class TestKktOnHardSystems:
             M = rng.standard_normal((n, p))
             b = 3.0 * rng.standard_normal(n)
             shift = float(rng.uniform(0.0, 0.5)) * np.abs(M.T @ b).max()
-            sol = solvers._lawson_hanson(M, b, shift, 1e-10, None)
-            grad = M.T @ (M @ sol.a - b) + shift
+            a = np.zeros(p)
+            keep, coef = solvers._path_solution(M, b, shift)
+            a[keep] = coef
+            grad = M.T @ (M @ a - b) + shift
             scale = np.linalg.norm(M.T @ b - shift)
-            on = np.abs(grad[sol.a > 0]).max(initial=0.0)
-            off = max(0.0, -grad[sol.a == 0].min(initial=0.0))
+            on = np.abs(grad[a > 0]).max(initial=0.0)
+            off = max(0.0, -grad[a == 0].min(initial=0.0))
             worst = max(worst, on / scale, off / scale)
         assert worst <= 1e-8
 
