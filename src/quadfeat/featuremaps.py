@@ -18,7 +18,13 @@ embedding
 
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 Feature counts are always quoted as D quadrature points (the embedding has
-2D real coordinates).
+2D real coordinates).  Every embedding is written once, into its final
+columns: the phases go straight into the cosine half of the output, the
+sines are taken from them into the other half, and both halves are scaled
+in place, so the peak allocation is the (n, 2D) output itself.  Callers may
+pass that output (``out=``), for instance a column slice of a wider array
+or an ``np.memmap``; an ANOVA map hands each sub-map its slice of one
+composite output.
 
 The baselines are random Fourier features (i.i.d. normal points) and QMC
 features, Halton points mapped through ``statistics.NormalDist``'s quantile.
@@ -131,16 +137,39 @@ class FeatureMap:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError(f"input must have shape ({self.d},)")
-        phases = self.frequencies @ x
-        s = self._sqrt_weights
-        return np.concatenate([s * np.cos(phases), s * np.sin(phases)])
+        return self.embed_batch(x[None, :])[0]
 
-    def embed_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise embedding of an (n, d) data matrix, giving (n, 2D)."""
+    def embed_batch(self, X: np.ndarray, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise embedding of an (n, d) data matrix, giving (n, 2D).
+
+        The features are written into ``out`` when it is given (a float64
+        array of shape (n, 2D); strided views and memmaps are fine), else
+        into a new array, and that array is returned.  Inputs are checked
+        before anything is written.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        phases = X @ self.frequencies.T
+        if X.shape[1] != self.d:
+            raise ValueError(f"expected dimension {self.d}, got {X.shape[1]}")
         s = self._sqrt_weights
-        return np.hstack([np.cos(phases) * s, np.sin(phases) * s])
+        out = _embedding_output(out, (X.shape[0], 2 * self.count))
+        cos, sin = out[:, :self.count], out[:, self.count:]
+        np.matmul(X, self.frequencies.T, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        cos *= s
+        sin *= s
+        return out
+
+
+def _embedding_output(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """``out`` checked against ``shape``, or a new array of that shape."""
+    if out is None:
+        return np.empty(shape)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 \
+            or out.shape != shape:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    return out
 
 
 def rff(d: int, D: int, gamma: float, seed: int) -> FeatureMap:
@@ -251,28 +280,46 @@ class AnovaFeatureMap:
     def count(self) -> int:
         return sum(fm.count for _, fm in self.sub_maps)
 
+    def _check_width(self, width: int) -> None:
+        if width != self.d:
+            raise ValueError(f"expected dimension {self.d}, got {width}")
+
     def approx(self, u: np.ndarray) -> float | np.ndarray:
         u = np.asarray(u, dtype=float)
+        self._check_width(u.shape[-1])
         total = 0.0 if u.ndim == 1 else np.zeros(u.shape[0])
         for S, fm in self.sub_maps:
-            idx = np.array(S) - 1
-            total = total + fm.approx(u[..., idx])
+            total += fm.approx(u[..., np.array(S) - 1])
         return float(total) if u.ndim == 1 else total
 
     def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.shape != (self.d,) or y.shape != (self.d,):
+            raise ValueError(f"inputs must have shape ({self.d},)")
         return float(self.approx(x - y))
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        parts = [fm.embed(x[np.array(S) - 1]) for S, fm in self.sub_maps]
-        return np.concatenate(parts)
+        if x.shape != (self.d,):
+            raise ValueError(f"input must have shape ({self.d},)")
+        return self.embed_batch(x[None, :])[0]
 
-    def embed_batch(self, X: np.ndarray) -> np.ndarray:
+    def embed_batch(self, X: np.ndarray, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """The sub-map embeddings side by side, each written by its sub-map
+        into its own columns of one (n, 2 * count) output."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        parts = [fm.embed_batch(X[:, np.array(S) - 1]) for S, fm in self.sub_maps]
-        return np.hstack(parts)
+        self._check_width(X.shape[1])
+        for _, fm in self.sub_maps:
+            fm._sqrt_weights  # a signed sub-map refuses before anything is written
+        out = _embedding_output(out, (X.shape[0], 2 * self.count))
+        start = 0
+        for S, fm in self.sub_maps:
+            stop = start + 2 * fm.count
+            fm.embed_batch(X[:, np.array(S) - 1], out=out[:, start:stop])
+            start = stop
+        return out
 
 
 def anova_compose(kernel: AnovaKernel,

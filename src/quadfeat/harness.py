@@ -200,6 +200,14 @@ def _integer(value, key: str) -> int:
                       key=key)
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float, if it is a number (2 and 0.5, not "0.5")."""
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return float(value)
+    raise ConfigError(f"sweep config key {key!r} must be a number, got {value!r}",
+                      key=key)
+
+
 @dataclass
 class SweepConfig:
     """Validated sweep grid.  Cell order is methods x D x M x seeds."""
@@ -232,9 +240,9 @@ class SweepConfig:
         cfg = cls(
             methods=[str(m) for m in raw["methods"]],
             d=_integer(raw["d"], "d"),
-            gamma=float(raw["gamma"]),
+            gamma=_real(raw["gamma"], "gamma"),
             D=[_integer(v, "D") for v in raw["D"]],
-            M=[float(v) for v in raw["M"]],
+            M=[_real(v, "M") for v in raw["M"]],
             seeds=[_integer(v, "seeds") for v in raw["seeds"]],
         )
         for key in ("n_eval", "L", "level", "degree", "pairs"):
@@ -243,7 +251,7 @@ class SweepConfig:
         if raw.get("data") is not None:
             cfg.data = str(raw["data"])
         if raw.get("lam") is not None:
-            cfg.lam = float(raw["lam"])
+            cfg.lam = _real(raw["lam"], "lam")
         for key in ("methods", "D", "M", "seeds"):
             if not getattr(cfg, key):
                 raise ConfigError(f"sweep config key {key!r} is empty", key=key)

@@ -4,8 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from quadfeat import cli
 from quadfeat.cli import main
-from quadfeat.harness import REPORT_HEADER, strip_timing_columns
+from quadfeat.harness import (
+    REPORT_HEADER,
+    build_method_map,
+    load_csv,
+    strip_timing_columns,
+)
 from quadfeat.kernels import random_anova, save_anova
 
 
@@ -66,6 +72,30 @@ def test_embed_writes_features(tmp_path, data_csv):
                  "--out", str(out)]) == 0
     features = np.loadtxt(out, delimiter=",")
     assert features.shape == (200, 40)
+
+
+def _embed_rff(tmp_path, data_csv, name):
+    out = tmp_path / name
+    assert main(["embed", "--method", "rff", "--D", "20", "--gamma", "0.5",
+                 "--seed", "0", "--data", data_csv, "--out", str(out)]) == 0
+    fm = build_method_map("rff", 4, 20, 0.5, 0)
+    return out, fm.embed_batch(load_csv(data_csv).rows)
+
+
+def test_embed_streams_row_blocks(tmp_path, data_csv, monkeypatch):
+    # 40 features a row: blocks of 70, 70 and 60 of the 200 rows
+    monkeypatch.setattr(cli, "PHASE_BUFFER", 40 * 70)
+    out, expected = _embed_rff(tmp_path, data_csv, "blocks.csv")
+    assert len(out.read_text().splitlines()) == 200
+    np.testing.assert_allclose(np.loadtxt(out, delimiter=","), expected,
+                               rtol=0, atol=1e-15)
+
+
+def test_embed_in_one_block_matches_savetxt_bytes(tmp_path, data_csv):
+    out, expected = _embed_rff(tmp_path, data_csv, "one.csv")
+    whole = tmp_path / "whole.csv"
+    np.savetxt(whole, expected, delimiter=",")
+    assert out.read_bytes() == whole.read_bytes()
 
 
 def test_embed_subsampled_merges_duplicates(tmp_path, data_csv):

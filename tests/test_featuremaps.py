@@ -18,7 +18,7 @@ from quadfeat.featuremaps import (
     rff,
     subsampled_feature_map,
 )
-from quadfeat.grids import dense_grid, sparse_grid, subsample_grid
+from quadfeat.grids import GridQuadrature, dense_grid, sparse_grid, subsample_grid
 from quadfeat.kernels import AnovaKernel, GaussianKernel, eval_anova
 from quadfeat.solvers import construct_poly_exact
 
@@ -186,6 +186,102 @@ class TestEmbed:
         assert np.isfinite(fm.approx(np.zeros(2)))
 
 
+def _reweighted_map() -> FeatureMap:
+    from quadfeat.grids import subsample_dense_grid
+    from quadfeat.solvers import reweight
+    rng = np.random.default_rng(22)
+    g = reweight(subsample_dense_grid(4, 3, 40, seed=22),
+                 (rng.standard_normal((60, 3)), rng.standard_normal((60, 3))),
+                 GaussianKernel(0.5), 0.02)
+    return FeatureMap(g, "reweighted", 0.5)
+
+
+def _hstack_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
+    P = X @ fm.frequencies.T
+    s = np.sqrt(fm.grid.weights)
+    return np.hstack([np.cos(P) * s, np.sin(P) * s])
+
+
+def _anova_map():
+    kernel = AnovaKernel(((1, 3), (2, 3, 4), (4,)), GaussianKernel(0.5), 4)
+    return anova_compose(kernel, lambda dim, D: rff(dim, D, 0.5, seed=dim), 30)
+
+
+EMBEDDABLE = {
+    "rff": lambda: rff(3, 40, 0.5, seed=16),
+    "qmc": lambda: qmc_halton(3, 40, 0.7),
+    "dense": lambda: FeatureMap(dense_grid(4, 3), "dense", 0.5),
+    "subsampled": lambda: subsampled_feature_map(4, 3, 40, 0.5, seed=16),
+    "poly-exact": lambda: FeatureMap(construct_poly_exact(3, 2, 60, seed=16),
+                                     "poly_exact", 0.5),
+    "reweighted": _reweighted_map,
+    "empty": lambda: FeatureMap(GridQuadrature(np.zeros((0, 3)), np.zeros(0),
+                                               normalized=False), "reweighted", 0.5),
+}
+
+
+class TestEmbedBatch:
+    @pytest.mark.parametrize("name", sorted(EMBEDDABLE))
+    def test_bitwise_equal_to_hstack_formula(self, name):
+        fm = EMBEDDABLE[name]()
+        X = np.random.default_rng(17).standard_normal((300, 3))
+        Z = fm.embed_batch(X)
+        assert Z.shape == (300, 2 * fm.count)
+        np.testing.assert_array_equal(Z, _hstack_embedding(fm, X))
+
+    def test_anova_bitwise_equal_to_hstack_of_sub_maps(self):
+        composite = _anova_map()
+        X = np.random.default_rng(18).standard_normal((200, 4))
+        expected = np.hstack([_hstack_embedding(fm, X[:, np.array(S) - 1])
+                              for S, fm in composite.sub_maps])
+        np.testing.assert_array_equal(composite.embed_batch(X), expected)
+
+    @pytest.mark.parametrize("make", [lambda: rff(3, 40, 0.5, seed=19), _anova_map],
+                             ids=["plain", "anova"])
+    def test_out_is_filled_in_place(self, make):
+        fm = make()
+        X = np.random.default_rng(19).standard_normal((50, fm.d))
+        wide = np.full((50, 2 * fm.count + 5), 7.0)
+        view = wide[:, 2:2 + 2 * fm.count]
+        assert fm.embed_batch(X, out=view) is view
+        np.testing.assert_array_equal(view, fm.embed_batch(X))
+        assert (wide[:, :2] == 7.0).all() and (wide[:, -3:] == 7.0).all()
+
+    @pytest.mark.parametrize("out", [np.empty((50, 79)), np.empty((49, 80)),
+                                     np.empty((50, 80), dtype=np.float32),
+                                     [[0.0] * 80] * 50])
+    def test_out_of_wrong_shape_or_dtype_is_refused(self, out):
+        fm = rff(3, 40, 0.5, seed=20)
+        with pytest.raises(ValueError):
+            fm.embed_batch(np.zeros((50, 3)), out=out)
+
+    def test_signed_map_leaves_out_untouched(self):
+        fm = FeatureMap(sparse_grid(2, 2), "sparse", 0.5)
+        out = np.full((4, 2 * fm.count), 3.0)
+        with pytest.raises(EmbeddingUnsupportedError):
+            fm.embed_batch(np.zeros((4, 2)), out=out)
+        assert (out == 3.0).all()
+        kernel = AnovaKernel(((1,), (1, 2)), GaussianKernel(0.5), 2)
+        composite = anova_compose(
+            kernel, lambda dim, D: (rff(1, D, 0.5, seed=0) if dim == 1 else fm), 5)
+        out = np.full((4, 2 * composite.count), 3.0)
+        with pytest.raises(EmbeddingUnsupportedError):
+            composite.embed_batch(np.zeros((4, 2)), out=out)
+        assert (out == 3.0).all()
+
+    def test_single_row_embed_is_a_batch_row(self):
+        X = np.random.default_rng(21).standard_normal((3, 4))
+        for fm in (rff(4, 30, 0.5, seed=21), _anova_map()):
+            for x in X:
+                np.testing.assert_array_equal(fm.embed(x),
+                                              fm.embed_batch(x[None, :])[0])
+
+    def test_wrong_width_is_refused(self):
+        fm = rff(3, 10, 0.5, seed=0)
+        with pytest.raises(ValueError, match="expected dimension 3, got 4"):
+            fm.embed_batch(np.zeros((5, 4)))
+
+
 class TestEmbedGridFast:
     def test_eleven_point_rule_has_eleven_multipliers(self):
         # exactness through degree 21 needs only 11 values per dimension
@@ -247,6 +343,19 @@ class TestAnovaComposition:
         assert composite.count == 3 * D_S
         z = composite.embed(np.zeros(4))
         assert z.shape == (2 * 3 * D_S,)
+
+    def test_wider_input_is_refused(self):
+        # sub-maps read only their own coordinates, so extra columns would
+        # otherwise pass unnoticed
+        composite = _anova_map()
+        x = np.zeros(composite.d + 3)
+        for call in (lambda: composite.approx(x),
+                     lambda: composite.approx(x[None, :]),
+                     lambda: composite.approx_kernel(x, x),
+                     lambda: composite.embed(x),
+                     lambda: composite.embed_batch(x[None, :])):
+            with pytest.raises(ValueError):
+                call()
 
     def test_composite_error_bounded_by_sum_of_sub_errors(self):
         kernel = AnovaKernel(((1, 2), (3, 4)), GaussianKernel(0.5), 4)

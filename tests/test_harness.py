@@ -182,7 +182,7 @@ class TestSweep:
         ("target_D", 3.5), ("D", ["8"]),
         ("gamma", math.nan), ("gamma", math.inf), ("M", [math.nan]),
         ("M", [1.0, math.inf]), ("lam", -0.1), ("lam", math.nan),
-        ("lam", math.inf),
+        ("lam", math.inf), ("gamma", "x"), ("M", ["y"]), ("lam", "abc"),
     ])
     def test_out_of_range_value_is_named(self, key, value, monkeypatch):
         from quadfeat import harness
