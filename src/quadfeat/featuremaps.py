@@ -11,8 +11,11 @@ record of the rule they expand, and for them the estimate is computed in
 factored form by ``grids.structured_cos_sum`` (a product, or a signed sum
 of products, of one-dimensional cosine sums).  Every other rule takes the
 generic path, one cosine per point per displacement, computed in blocks
-of displacements through one reused phase buffer.  The explicit real
-embedding
+of displacements through one reused phase buffer.  Both paths take their
+cosines from half the phase, cos x = 2 / (1 + tan^2(x/2)) - 1
+(``grids._cos_from_half``), because numpy's float64 tangent is vectorized
+where its cosine is not; the estimate then differs from the np.cos sum by
+a few eps times sum_i |a_i|.  The explicit real embedding
 
     z(x) = [sqrt(a_i) cos(w_i'x)]_i ++ [sqrt(a_i) sin(w_i'x)]_i
 
@@ -20,7 +23,8 @@ needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 Feature counts are always quoted as D quadrature points (the embedding has
 2D real coordinates).  Every embedding is written once, into its final
 columns: the phases go straight into the cosine half of the output, the
-sines are taken from them into the other half, and both halves are scaled
+sines are taken from them into the other half (np.sin and np.cos, so
+embeddings match the formula above bitwise), and both halves are scaled
 in place, so the peak allocation is the (n, 2D) output itself.  Callers may
 pass that output (``out=``), for instance a column slice of a wider array
 or an ``np.memmap``; an ANOVA map hands each sub-map its slice of one
@@ -43,6 +47,7 @@ import numpy as np
 from .errors import EmbeddingUnsupportedError
 from .grids import (
     GridQuadrature,
+    _cos_from_half,
     grid_from_json,
     grid_to_json,
     structured_cos_sum,
@@ -97,7 +102,7 @@ class FeatureMap:
         Factored from ``grid.structure`` when the grid has one, otherwise
         summed over the points.
         """
-        u = np.asarray(u, dtype=float)
+        u = _displacements(u, self.d)
         single = u.ndim == 1
         U = np.atleast_2d(u)
         if U.shape[1] != self.d:
@@ -112,16 +117,18 @@ class FeatureMap:
         return float(out[0]) if single else out
 
     def _approx_points(self, U: np.ndarray) -> np.ndarray:
+        # the buffer takes the half-phases w_i'u / 2 (halving is exact) and
+        # then their doubled-angle cosines, from numpy's vectorized tangent
         rows = max(1, min(U.shape[0], PHASE_BUFFER // self.count))
-        F = self.frequencies.T
+        F = 0.5 * self.frequencies.T
         P = np.empty((rows, self.count))
         out = np.empty(U.shape[0])
         for start in range(0, U.shape[0], rows):
             block = U[start:start + rows]
-            phases = P[:block.shape[0]]
-            np.matmul(block, F, out=phases)
-            np.cos(phases, out=phases)
-            out[start:start + rows] = phases @ self.grid.weights
+            half = P[:block.shape[0]]
+            np.matmul(block, F, out=half)
+            _cos_from_half(half)
+            out[start:start + rows] = half @ self.grid.weights
         return out
 
     def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -153,6 +160,8 @@ class FeatureMap:
             raise ValueError(f"expected dimension {self.d}, got {X.shape[1]}")
         s = self._sqrt_weights
         out = _embedding_output(out, (X.shape[0], 2 * self.count))
+        # np.cos and np.sin, not the estimator's tangent identity: embeddings
+        # are pinned bitwise to the cos/sin formula
         cos, sin = out[:, :self.count], out[:, self.count:]
         np.matmul(X, self.frequencies.T, out=cos)
         np.sin(cos, out=sin)
@@ -160,6 +169,15 @@ class FeatureMap:
         cos *= s
         sin *= s
         return out
+
+
+def _displacements(u, d: int) -> np.ndarray:
+    """``u`` as floats, refused unless shaped as one displacement or a batch."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2):
+        raise ValueError(f"displacements must have shape ({d},) or (n, {d}), "
+                         f"got shape {u.shape}")
+    return u
 
 
 def _embedding_output(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
@@ -208,12 +226,22 @@ def radical_inverse(n: int, base: int) -> float:
 
 
 def halton_points(d: int, D: int) -> np.ndarray:
-    """First D unscrambled Halton points in (0, 1)^d, index starting at 1."""
+    """First D unscrambled Halton points in (0, 1)^d, index starting at 1.
+
+    ``radical_inverse`` on every (index, base) pair at once: the digit loop
+    runs until every index is used up, and a spent index only adds zeros,
+    so each entry is bitwise the scalar result.
+    """
     if d > 1000:
         raise ValueError("Halton prime table is bounded at d = 1000")
-    bases = _primes(d)
-    return np.array([[radical_inverse(n, b) for b in bases]
-                     for n in range(1, D + 1)])
+    bases = np.array(_primes(d))
+    n = np.repeat(np.arange(1, D + 1)[:, None], d, axis=1)
+    f, r = np.ones((D, d)), np.zeros((D, d))
+    while n.any():
+        f /= bases
+        r += f * (n % bases)
+        n //= bases
+    return r
 
 
 _inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
@@ -250,6 +278,7 @@ def embed_grid_fast(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     Each data column is multiplied by each distinct node value once; the
     phases w_i'x are then assembled by indexed sums.  It agrees with
     ``fm.embed_batch(X)`` to rounding, and is slower on every map measured.
+    It keeps np.cos and np.sin, as ``embed_batch`` does.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != fm.d:
@@ -285,7 +314,7 @@ class AnovaFeatureMap:
             raise ValueError(f"expected dimension {self.d}, got {width}")
 
     def approx(self, u: np.ndarray) -> float | np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = _displacements(u, self.d)
         self._check_width(u.shape[-1])
         total = 0.0 if u.ndim == 1 else np.zeros(u.shape[0])
         for S, fm in self.sub_maps:

@@ -334,6 +334,8 @@ def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
     g = _kernel_gamma(kernel, gamma)
     freqs = pool.points * np.sqrt(2.0 * g)
     U = X - Y
+    # np.cos, not the estimator's tangent identity (grids._cos_from_half): the
+    # fitted supports and weights depend on every bit of this system
     system = np.cos(U @ freqs.T)
     targets = kernel_values(kernel, U)
     return pool, system, targets

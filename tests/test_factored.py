@@ -1,5 +1,6 @@
 """Factored kernel estimates of dense and Smolyak grids against the
-materialized sum over their points, and the generic blocked estimator."""
+materialized sum over their points, the generic blocked estimator, and the
+half-angle cosine both of them use."""
 import functools
 import math
 
@@ -18,6 +19,7 @@ from quadfeat.featuremaps import (
 )
 from quadfeat.grids import (
     GridQuadrature,
+    _cos_from_half,
     dense_grid,
     grid_from_json,
     grid_to_json,
@@ -152,3 +154,36 @@ class TestGenericBlocks:
         expected = math.fsum(a * math.cos(w @ u)
                              for w, a in zip(fm.frequencies, fm.grid.weights))
         assert value == pytest.approx(expected, abs=1e-14)
+
+
+EPS = np.finfo(float).eps
+
+
+def _odd_pi_multiple(k: int, ulps: int) -> float:
+    """(2k + 1) pi moved ``ulps`` representable steps, where tan(x/2) has a pole."""
+    x = (2 * k + 1) * math.pi
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+class TestHalfAngleCosine:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=64))
+    def test_within_four_eps_of_cos(self, xs):
+        x = np.array(xs)
+        assert np.abs(_cos_from_half(0.5 * x) - np.cos(x)).max() <= 4 * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-4, 4)),
+                    min_size=1, max_size=64))
+    def test_near_the_poles_of_the_tangent(self, cases):
+        x = np.array([_odd_pi_multiple(k, ulps) for k, ulps in cases])
+        assert np.abs(_cos_from_half(0.5 * x) - np.cos(x)).max() <= 4 * EPS
+
+    def test_overwrites_its_argument(self):
+        h = np.array([0.0, 0.25, -1.0])
+        expected = np.cos(2 * h)
+        assert _cos_from_half(h) is h
+        assert np.abs(h - expected).max() <= 4 * EPS
+        assert h[0] == 1.0

@@ -8,6 +8,7 @@ import pytest
 from quadfeat.errors import EmbeddingUnsupportedError
 from quadfeat.featuremaps import (
     FeatureMap,
+    _primes,
     anova_compose,
     embed_grid_fast,
     feature_map_from_json,
@@ -15,6 +16,7 @@ from quadfeat.featuremaps import (
     halton_points,
     inv_norm_cdf,
     qmc_halton,
+    radical_inverse,
     rff,
     subsampled_feature_map,
 )
@@ -87,6 +89,12 @@ class TestHalton:
         with pytest.raises(ValueError):
             halton_points(1001, 1)
 
+    @pytest.mark.parametrize("d,D", [(1, 600), (25, 1351), (1000, 300)])
+    def test_vectorized_digits_equal_radical_inverse(self, d, D):
+        expected = np.array([[radical_inverse(n, b) for b in _primes(d)]
+                             for n in range(1, D + 1)])
+        np.testing.assert_array_equal(halton_points(d, D), expected)
+
 
 class TestInverseNormalCdf:
     def test_median(self):
@@ -155,6 +163,17 @@ class TestApproxKernel:
         with pytest.raises(ValueError):
             fm.approx_kernel(np.zeros(4), np.zeros(4))
 
+    @pytest.mark.parametrize("make", [
+        lambda: rff(3, 10, 0.5, seed=0),
+        lambda: FeatureMap(sparse_grid(2, 3), "sparse", 0.5),
+        lambda: anova_compose(AnovaKernel(((1, 2), (3,)), GaussianKernel(0.5), 3),
+                              lambda dim, D: rff(dim, D, 0.5, seed=dim), 10),
+    ], ids=["plain", "factored", "anova"])
+    @pytest.mark.parametrize("shape", [(2, 3, 3), ()])
+    def test_displacements_of_other_ranks_are_refused(self, make, shape):
+        with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))}\)"):
+            make().approx(np.zeros(shape))
+
 
 class TestEmbed:
     def test_squared_norm_is_weight_sum(self):
@@ -218,6 +237,21 @@ EMBEDDABLE = {
     "empty": lambda: FeatureMap(GridQuadrature(np.zeros((0, 3)), np.zeros(0),
                                                normalized=False), "reweighted", 0.5),
 }
+
+
+class TestApproxAgainstCosFormula:
+    # the generic estimator's half-angle cosines against np.cos, summed alike
+    @pytest.mark.parametrize("name", sorted(EMBEDDABLE) + ["signed-sparse"])
+    def test_within_eight_eps_of_the_weight_mass(self, name):
+        fm = EMBEDDABLE[name]() if name in EMBEDDABLE else \
+            FeatureMap(sparse_grid(2, 3), "sparse", 0.5)
+        g = fm.grid  # rebuilt without its structure record: the generic path
+        fm = FeatureMap(GridQuadrature(g.points, g.weights, normalized=g.normalized),
+                        fm.method, fm.gamma)
+        U = np.random.default_rng(23).standard_normal((2000, 3)) * 3.0
+        expected = np.cos(U @ fm.frequencies.T) @ fm.grid.weights
+        bound = 8 * np.finfo(float).eps * np.abs(fm.grid.weights).sum()
+        assert np.abs(fm.approx(U) - expected).max() <= bound
 
 
 class TestEmbedBatch:
