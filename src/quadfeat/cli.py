@@ -4,6 +4,14 @@ Subcommands: build (construct and serialize a feature map), eval (error
 report for one map), sweep (methods x parameters grid to CSV) and embed
 (dataset to feature CSV, through ``FeatureMap.embed_batch``).
 
+Every subcommand turns the same flags into one validated ``SweepConfig``
+(``sweep --config`` reads it from JSON), so a bad value raises
+``ConfigError`` naming its config key before any map is built.  ``eval``
+is a one-cell sweep; it and ``sweep`` make their rows through
+``harness.sweep``.  ``build`` and ``embed`` refuse more than one method, D
+or seed.  ``--anova structure.json`` switches eval, sweep and embed to the
+file's ANOVA kernel, which sets d and gamma; build refuses it.
+
 ``embed`` streams: it embeds and writes the rows in blocks of at most
 ``PHASE_BUFFER`` feature entries, so its memory does not grow with the
 number of rows.  Data that fit in one block give the same bytes as one
@@ -17,87 +25,99 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
+from .errors import ConfigError
 from .featuremaps import PHASE_BUFFER, save_feature_map
 from .harness import (
     CLI_METHODS,
-    REPORT_HEADER,
-    ErrorReport,
     SweepConfig,
-    build_anova_map,
-    build_method_map,
-    error_stats,
+    build_map,
     load_csv,
     reports_to_csv,
-    round_ms,
     sweep,
-    write_reports,
 )
-from .kernels import GaussianKernel, load_anova
+
+# (flag, sweep config key, element type, default, help).  Flags left unset
+# take SweepConfig's defaults.  With --anova, the structure file sets d and
+# gamma, and those two flags are ignored.
+FLAGS = (
+    ("--method", "methods", str, "rff",
+     "methods, comma separated: " + ", ".join(CLI_METHODS)),
+    ("--D", "D", int, "1000",
+     "feature counts (quadrature points), comma separated"),
+    ("--diameter", "M", float, "1.0", "region diameters M, comma separated"),
+    ("--seed", "seeds", int, "0", "seeds, comma separated"),
+    ("--d", "d", int, None, "input dimension"),
+    ("--L", "L", int, None, "1-D rule size of dense/subsampled grids (8)"),
+    ("--level", "level", int, None, "sparse grid level A (2)"),
+    ("--degree", "degree", int, None, "polynomial exactness degree R (2)"),
+    ("--gamma", "gamma", float, "0.5", "kernel bandwidth"),
+    ("--n-eval", "n_eval", int, None, "error samples per cell (100000)"),
+    ("--data", "data", str, None, "dataset CSV path"),
+    ("--pairs", "pairs", int, None, "training pairs for reweighting (500)"),
+    ("--lambda", "lam", float, None, "fixed l1 penalty for reweighting "
+     "(otherwise the l1 path keeps at most --D points)"),
+    ("--anova", "anova", str, None, "ANOVA structure JSON path"),
+)
+LISTS = ("methods", "D", "M", "seeds")
+MAP_KEYS = ("methods", "D", "seeds")  # what build and embed make one map of
 
 
-def _add_common_flags(p: argparse.ArgumentParser, lists: bool = False) -> None:
-    # sweep takes comma-separated lists for method/D/diameter/seed and
-    # validates them downstream; the other subcommands take scalars
-    if lists:
-        p.add_argument("--method", type=str, default="rff")
-        p.add_argument("--D", type=str, default="1000",
-                       help="feature counts, comma separated")
-        p.add_argument("--diameter", type=str, default="1.0",
-                       help="region diameters M, comma separated")
-        p.add_argument("--seed", type=str, default="0",
-                       help="seeds, comma separated")
+def _parse(text: str, key: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"sweep config key {key!r}: {text!r} does not parse "
+                          f"as {kind.__name__}", key=key) from None
+
+
+def _config(args, single=()) -> SweepConfig:
+    """The validated sweep config of a command's flags (or of ``--config``),
+    with one value for each key in ``single``."""
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            cfg = SweepConfig.from_dict(json.load(fh))
     else:
-        p.add_argument("--method", choices=CLI_METHODS, default="rff")
-        p.add_argument("--D", type=int, default=1000,
-                       help="feature count (quadrature points)")
-        p.add_argument("--diameter", type=float, default=1.0,
-                       help="region diameter M")
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=None, help="input dimension")
-    p.add_argument("--L", type=int, default=8,
-                   help="one-dimensional rule size for dense/subsampled grids")
-    p.add_argument("--level", type=int, default=2, help="sparse grid level A")
-    p.add_argument("--degree", type=int, default=2,
-                   help="polynomial exactness degree R")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--n-eval", type=int, default=100_000)
-    p.add_argument("--data", type=str, default=None, help="dataset CSV path")
-    p.add_argument("--pairs", type=int, default=500,
-                   help="training pairs for reweighting")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="fixed l1 penalty for reweighting (otherwise chosen "
-                        "on the l1 path to keep at most --D points)")
-    p.add_argument("--anova", type=str, default=None,
-                   help="ANOVA structure JSON path")
-    p.add_argument("--out", type=str, default=None, help="output path")
+        if args.d is None and args.anova is None:
+            raise SystemExit(f"{args.command} requires --d or --anova")
+        raw = {}
+        for _, key, kind, _, _ in FLAGS:
+            text = getattr(args, key)
+            if text is None or (args.anova and key in ("d", "gamma")):
+                continue
+            raw[key] = ([_parse(v, key, kind) for v in text.split(",")]
+                        if key in LISTS else _parse(text, key, kind))
+        cfg = SweepConfig.from_dict(raw)
+    for key in single:
+        if len(getattr(cfg, key)) != 1:
+            raise ConfigError(f"{args.command} takes one value of sweep config "
+                              f"key {key!r}, got {getattr(cfg, key)}", key=key)
+    return cfg
 
 
-def _build_map(args, data=None):
-    """Returns (feature map, exact kernel, effective gamma)."""
-    if args.anova:
-        # the structure file owns gamma for ANOVA kernels
-        kernel = load_anova(args.anova)
-        fm = build_anova_map(kernel, args.method, args.D, args.seed,
-                             L=args.L, level=args.level, degree=args.degree,
-                             data=data, pairs=args.pairs, lam=args.lam)
-        return fm, kernel, kernel.base.gamma
-    if args.d is None:
-        raise SystemExit("--d is required without --anova")
-    fm = build_method_map(args.method, args.d, args.D, args.gamma, args.seed,
-                          L=args.L, level=args.level, degree=args.degree,
-                          data=data, pairs=args.pairs, lam=args.lam)
-    return fm, GaussianKernel(args.gamma), args.gamma
+def _one_map(cfg: SweepConfig, data=None):
+    return build_map(cfg, cfg.kernel(), cfg.methods[0], cfg.D[0], cfg.seeds[0],
+                     data)
+
+
+def _report(cfg: SweepConfig, out) -> int:
+    reports = sweep(cfg)
+    if not out:
+        sys.stdout.write(reports_to_csv(reports))
+        return 0
+    with open(out, "w") as fh:
+        fh.write(reports_to_csv(reports))
+    print(f"wrote {out}: {len(reports)} rows")
+    return 0
 
 
 def cmd_build(args) -> int:
     if args.anova:
         raise SystemExit("build serializes plain maps; ANOVA maps are composed in memory")
-    data = load_csv(args.data) if args.data else None
-    fm, _, _ = _build_map(args, data)
+    cfg = _config(args, MAP_KEYS)
+    fm = _one_map(cfg, load_csv(cfg.data) if cfg.data else None)
     out = args.out or "featuremap.json"
     save_feature_map(fm, out)
     print(f"wrote {out}: method={fm.method} d={fm.d} D={fm.count}")
@@ -105,67 +125,20 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data = load_csv(args.data) if args.data else None
-    t0 = time.perf_counter()
-    fm, kernel, gamma = _build_map(args, data)
-    build_ms = round_ms(t0)
-    t1 = time.perf_counter()
-    max_err, rms = error_stats(fm, kernel, args.diameter, args.n_eval,
-                               args.seed)
-    report = ErrorReport(
-        method=args.method, d=fm.d, D=fm.count, gamma=gamma,
-        M=args.diameter, max_err=max_err, rms_err=rms, n_eval=args.n_eval,
-        seed=args.seed, build_ms=build_ms, embed_ms=round_ms(t1))
-    text = REPORT_HEADER + "\n" + report.csv_row() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _report(_config(args, MAP_KEYS + ("M",)), args.out)
 
 
 def cmd_sweep(args) -> int:
-    if not args.config and args.d is None:
-        raise SystemExit("sweep requires --d or --config")
-    if args.config:
-        with open(args.config) as fh:
-            cfg = SweepConfig.from_dict(json.load(fh))
-    else:
-        raw = {
-            "methods": args.method.split(","),
-            "d": args.d,
-            "gamma": args.gamma,
-            "D": [int(v) for v in str(args.D).split(",")],
-            "M": [float(v) for v in str(args.diameter).split(",")],
-            "seeds": [int(v) for v in str(args.seed).split(",")],
-            "n_eval": args.n_eval,
-            "L": args.L,
-            "level": args.level,
-            "degree": args.degree,
-            "pairs": args.pairs,
-        }
-        if args.data:
-            raw["data"] = args.data
-        if args.lam is not None:
-            raw["lam"] = args.lam
-        cfg = SweepConfig.from_dict(raw)
-    reports = sweep(cfg)
-    if args.out:
-        write_reports(reports, args.out)
-        print(f"wrote {args.out}: {len(reports)} rows")
-    else:
-        sys.stdout.write(reports_to_csv(reports))
-    return 0
+    return _report(_config(args), args.out)
 
 
 def cmd_embed(args) -> int:
     if not args.data:
         raise SystemExit("embed requires --data")
     ds = load_csv(args.data)
-    if args.d is None and not args.anova:
-        args.d = ds.d
-    fm, _, _ = _build_map(args, ds)
+    if args.d is None:
+        args.d = str(ds.d)
+    fm = _one_map(_config(args, MAP_KEYS), ds)
     out = args.out or "features.csv"
     n, width = ds.rows.shape[0], 2 * fm.count
     block = max(1, PHASE_BUFFER // max(1, width))
@@ -190,7 +163,9 @@ def main(argv=None) -> int:
     for name, fn in (("build", cmd_build), ("eval", cmd_eval),
                      ("sweep", cmd_sweep), ("embed", cmd_embed)):
         p = sub.add_parser(name)
-        _add_common_flags(p, lists=(name == "sweep"))
+        for flag, key, _, default, text in FLAGS:
+            p.add_argument(flag, dest=key, default=default, help=text)
+        p.add_argument("--out", type=str, default=None, help="output path")
         if name == "sweep":
             p.add_argument("--config", type=str, default=None,
                            help="sweep config JSON path")

@@ -73,8 +73,8 @@ class FeatureMap:
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
     @property
     def d(self) -> int:

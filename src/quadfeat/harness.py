@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .featuremaps import (
     subsampled_feature_map,
 )
 from .grids import dense_grid, sparse_grid, subsample_dense_grid
-from .kernels import AnovaKernel, GaussianKernel, kernel_values
+from .kernels import AnovaKernel, GaussianKernel, kernel_values, load_anova
 from .solvers import bisect_lambda, construct_poly_exact, reweight
 
 REPORT_HEADER = "method,d,D,gamma,M,max_err,rms_err,n_eval,seed,build_ms,embed_ms"
@@ -143,8 +144,8 @@ def displacement_sample(d: int, M: float, n: int, seed: int) -> np.ndarray:
     """n vectors with |u| <= M: uniform direction, radius fraction uniform."""
     if n < 1:
         raise ValueError("n must be positive")
-    if M < 0:
-        raise ValueError("M must be non-negative")
+    if not 0 <= M < math.inf:
+        raise ValueError(f"M must be non-negative and finite, got {M!r}")
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, d))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -210,7 +211,11 @@ def _real(value, key: str) -> float:
 
 @dataclass
 class SweepConfig:
-    """Validated sweep grid.  Cell order is methods x D x M x seeds."""
+    """Validated sweep grid.  Cell order is methods x D x M x seeds.
+
+    ``anova`` names an ANOVA structure file; the cells then measure that
+    kernel, and the file sets ``d`` and ``gamma``.
+    """
 
     methods: list[str]
     d: int
@@ -225,15 +230,28 @@ class SweepConfig:
     data: Optional[str] = None
     pairs: int = 500
     lam: Optional[float] = None
+    anova: Optional[str] = None
 
     _KEYS = ("methods", "d", "gamma", "D", "M", "seeds", "n_eval", "L",
-             "level", "degree", "data", "pairs", "lam")
+             "level", "degree", "data", "pairs", "lam", "anova")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
         for key in raw:
             if key not in cls._KEYS:
                 raise ConfigError(f"unknown sweep config key {key!r}", key=key)
+        if raw.get("anova") is not None:
+            try:
+                structure = load_anova(str(raw["anova"]))
+            except (OSError, ValueError) as exc:  # unreadable file, bad JSON
+                raise ConfigError(f"sweep config key 'anova': {exc}",
+                                  key="anova") from None
+            raw = dict(raw)
+            for key, value in (("d", structure.d), ("gamma", structure.base.gamma)):
+                if raw.setdefault(key, value) != value:
+                    raise ConfigError(
+                        f"sweep config key {key!r} is {raw[key]!r}, but the ANOVA "
+                        f"structure file gives {value!r}", key=key)
         for key in ("methods", "d", "gamma", "D", "M", "seeds"):
             if key not in raw:
                 raise ConfigError(f"missing sweep config key {key!r}", key=key)
@@ -248,8 +266,9 @@ class SweepConfig:
         for key in ("n_eval", "L", "level", "degree", "pairs"):
             if key in raw:
                 setattr(cfg, key, _integer(raw[key], key))
-        if raw.get("data") is not None:
-            cfg.data = str(raw["data"])
+        for key in ("data", "anova"):
+            if raw.get(key) is not None:
+                setattr(cfg, key, str(raw[key]))
         if raw.get("lam") is not None:
             cfg.lam = _real(raw["lam"], "lam")
         for key in ("methods", "D", "M", "seeds"):
@@ -268,6 +287,10 @@ class SweepConfig:
             if not ok:
                 raise ConfigError(f"sweep config key {key!r} must be {rule}", key=key)
         return cfg
+
+    def kernel(self) -> Union[GaussianKernel, AnovaKernel]:
+        """The exact kernel every cell is measured against."""
+        return load_anova(self.anova) if self.anova else GaussianKernel(self.gamma)
 
 
 def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
@@ -340,6 +363,17 @@ def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
     return AnovaFeatureMap(tuple(sub_maps), kernel.d)
 
 
+def build_map(config: SweepConfig, kernel: Union[GaussianKernel, AnovaKernel],
+              method: str, D: int, seed: int, data: Optional[Dataset] = None):
+    """One cell's feature map: ``build_anova_map`` for an ANOVA kernel,
+    ``build_method_map`` for the Gaussian one."""
+    options = dict(L=config.L, level=config.level, degree=config.degree,
+                   data=data, pairs=config.pairs, lam=config.lam)
+    if isinstance(kernel, AnovaKernel):
+        return build_anova_map(kernel, method, D, seed, **options)
+    return build_method_map(method, config.d, D, config.gamma, seed, **options)
+
+
 def _build_key(method: str, D: int, seed: int) -> tuple:
     """What a sweep cell's map depends on besides the sweep-wide settings:
     qmc ignores the seed, dense and sparse grids ignore both D and seed."""
@@ -351,7 +385,8 @@ def _build_key(method: str, D: int, seed: int) -> tuple:
 
 
 def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
-    """One ErrorReport per (method, D, M, seed) cell, in config order.
+    """One ErrorReport per (method, D, M, seed) cell, in config order; the
+    one maker of report rows, for ``quadfeat eval`` and ``quadfeat sweep``.
 
     Each map is built once, for the first cell that needs it, and only that
     cell's row carries the build time.
@@ -359,32 +394,24 @@ def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
     if isinstance(config, dict):
         config = SweepConfig.from_dict(config)
     data = load_csv(config.data) if config.data else None
-    kernel = GaussianKernel(config.gamma)
+    kernel = config.kernel()
     reports = []
-    built: dict[tuple, FeatureMap] = {}
-    for method in config.methods:
-        for D in config.D:
-            for M in config.M:
-                for seed in config.seeds:
-                    key = _build_key(method, D, seed)
-                    build_ms = 0
-                    if key not in built:
-                        t0 = time.perf_counter()
-                        built[key] = build_method_map(
-                            method, config.d, D, config.gamma, seed,
-                            L=config.L, level=config.level,
-                            degree=config.degree, data=data,
-                            pairs=config.pairs, lam=config.lam)
-                        build_ms = round_ms(t0)
-                    fm = built[key]
-                    t1 = time.perf_counter()
-                    max_err, rms = error_stats(fm, kernel, M,
-                                               config.n_eval, seed)
-                    reports.append(ErrorReport(
-                        method=method, d=config.d, D=fm.count,
-                        gamma=config.gamma, M=M, max_err=max_err,
-                        rms_err=rms, n_eval=config.n_eval, seed=seed,
-                        build_ms=build_ms, embed_ms=round_ms(t1)))
+    built: dict[tuple, FeatureMap | AnovaFeatureMap] = {}
+    for method, D, M, seed in itertools.product(config.methods, config.D,
+                                                config.M, config.seeds):
+        key = _build_key(method, D, seed)
+        build_ms = 0
+        if key not in built:
+            t0 = time.perf_counter()
+            built[key] = build_map(config, kernel, method, D, seed, data)
+            build_ms = round_ms(t0)
+        fm = built[key]
+        t1 = time.perf_counter()
+        max_err, rms = error_stats(fm, kernel, M, config.n_eval, seed)
+        reports.append(ErrorReport(
+            method=method, d=config.d, D=fm.count, gamma=config.gamma, M=M,
+            max_err=max_err, rms_err=rms, n_eval=config.n_eval, seed=seed,
+            build_ms=build_ms, embed_ms=round_ms(t1)))
     return reports
 
 
@@ -396,11 +423,6 @@ def reports_to_csv(reports: Sequence[ErrorReport]) -> str:
     lines = [REPORT_HEADER]
     lines.extend(r.csv_row() for r in reports)
     return "\n".join(lines) + "\n"
-
-
-def write_reports(reports: Sequence[ErrorReport], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(reports_to_csv(reports))
 
 
 def strip_timing_columns(csv_text: str) -> str:

@@ -9,10 +9,14 @@ a hypergraph of index subsets.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -22,8 +26,8 @@ class GaussianKernel:
     gamma: float = 0.5
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
     def value(self, u: np.ndarray) -> Union[float, np.ndarray]:
         """Kernel value at displacement(s) u, shape (d,) or (n, d)."""
@@ -114,12 +118,39 @@ def kernel_values(kernel, U: np.ndarray) -> np.ndarray:
 def load_anova(path: str) -> AnovaKernel:
     """Read an ANOVA structure file: {"d": int, "gamma": real, "subsets": [[...]]}.
 
-    Indices in the file are 1-based.
+    Indices in the file are 1-based.  A missing or ill-typed field raises
+    ConfigError with the field's name as its ``key``.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    subsets = tuple(tuple(int(i) for i in S) for S in raw["subsets"])
-    return AnovaKernel(subsets=subsets, base=GaussianKernel(float(raw["gamma"])), d=int(raw["d"]))
+
+    def field(key, make):
+        if not isinstance(raw, dict) or key not in raw:
+            raise ConfigError(f"{path}: missing ANOVA structure field {key!r}",
+                              key=key)
+        try:
+            return make(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: ANOVA structure field {key!r}: {exc}",
+                              key=key) from None
+
+    d = field("d", _dimension)
+    base = field("gamma", lambda g: GaussianKernel(_number(g)))
+    return field("subsets", lambda subsets: AnovaKernel(
+        tuple(tuple(operator.index(i) for i in S) for S in subsets), base, d))
+
+
+def _dimension(value) -> int:
+    d = operator.index(value)
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    return d
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def save_anova(kernel: AnovaKernel, path: str) -> None:

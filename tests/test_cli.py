@@ -1,18 +1,24 @@
 """CLI surface tests; commands run in-process through main()."""
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from quadfeat import cli
+from quadfeat import cli, harness
 from quadfeat.cli import main
+from quadfeat.errors import ConfigError
 from quadfeat.harness import (
     REPORT_HEADER,
+    build_anova_map,
     build_method_map,
+    error_stats,
     load_csv,
+    reports_to_csv,
     strip_timing_columns,
+    sweep,
 )
-from quadfeat.kernels import random_anova, save_anova
+from quadfeat.kernels import load_anova, random_anova, save_anova
 
 
 @pytest.fixture
@@ -160,3 +166,90 @@ def test_lambda_reaches_anova_reweighting(tmp_path, data_csv, capsys):
         out = capsys.readouterr().out
         rows.append(strip_timing_columns(out).splitlines()[1])
     assert rows[0] != rows[1]
+
+
+def _no_builds(*args, **kwargs):
+    raise AssertionError("a map was built")
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--D", "0"], "D"), (["--D", "abc"], "D"), (["--D", "16,"], "D"),
+    (["--diameter", "nan"], "M"), (["--diameter", "inf"], "M"),
+    (["--diameter", "-1"], "M"), (["--diameter", "x"], "M"),
+    (["--gamma", "inf"], "gamma"), (["--gamma", "nan"], "gamma"),
+    (["--n-eval", "0"], "n_eval"), (["--d", "0"], "d"), (["--d", "2.5"], "d"),
+    (["--seed", "0,a"], "seeds"), (["--method", "rff,nystrom"], "methods"),
+    (["--lambda", "inf"], "lam"), (["--pairs", "0"], "pairs"),
+])
+@pytest.mark.parametrize("command", ["build", "eval", "sweep", "embed"])
+def test_every_command_names_the_bad_key(command, flags, key, data_csv,
+                                         tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "build_method_map", _no_builds)
+    argv = [command, "--d", "4", "--data", data_csv, "--n-eval", "100",
+            "--out", str(tmp_path / "out")] + flags
+    with pytest.raises(ConfigError) as exc:
+        main(argv)
+    assert exc.value.key == key
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("build", ["--method", "rff,qmc"], "methods"),
+    ("build", ["--D", "8,16"], "D"),
+    ("build", ["--seed", "0,1"], "seeds"),
+    ("embed", ["--D", "8,16"], "D"),
+    ("embed", ["--seed", "0,1"], "seeds"),
+    ("eval", ["--method", "rff,qmc"], "methods"),
+    ("eval", ["--diameter", "0.5,1.0"], "M"),
+])
+def test_one_map_commands_refuse_lists(command, flags, key, data_csv,
+                                       monkeypatch):
+    monkeypatch.setattr(harness, "build_method_map", _no_builds)
+    with pytest.raises(ConfigError) as exc:
+        main([command, "--d", "4", "--data", data_csv] + flags)
+    assert exc.value.key == key
+
+
+def test_build_refuses_anova(tmp_path):
+    spec_path = tmp_path / "anova.json"
+    save_anova(random_anova(d=4, m=2, subset_size=2, gamma=0.5, seed=1),
+               str(spec_path))
+    with pytest.raises(SystemExit):
+        main(["build", "--anova", str(spec_path), "--out",
+              str(tmp_path / "map.json")])
+
+
+def test_sweep_anova_rows_match_eval_rows(tmp_path, capsys):
+    kernel = random_anova(d=4, m=3, subset_size=2, gamma=0.25, seed=5)
+    spec_path = tmp_path / "anova.json"
+    save_anova(kernel, str(spec_path))
+    common = ["--anova", str(spec_path), "--n-eval", "500", "--L", "4"]
+    cells = list(itertools.product(("rff", "sparse"), ("8", "16"),
+                                   ("0.5", "1.0"), ("0", "1")))
+    assert main(["sweep", "--method", "rff,sparse", "--D", "8,16",
+                 "--diameter", "0.5,1.0", "--seed", "0,1"] + common) == 0
+    swept = strip_timing_columns(capsys.readouterr().out).splitlines()
+    evaluated = []
+    for method, D, M, seed in cells:
+        assert main(["eval", "--method", method, "--D", D, "--diameter", M,
+                     "--seed", seed] + common) == 0
+        header, row = strip_timing_columns(capsys.readouterr().out).splitlines()
+        evaluated.append(row)
+    assert swept == [header] + evaluated
+    # the rows measure the ANOVA kernel of the structure file
+    fm = build_anova_map(load_anova(str(spec_path)), "rff", 8, 0, L=4)
+    max_err, rms = error_stats(fm, kernel, 0.5, 500, 0)
+    assert swept[1].split(",") == ["rff", "4", str(3 * 8), "0.25", "0.5",
+                                   repr(max_err), repr(rms), "500", "0"]
+
+
+def test_eval_is_a_one_cell_sweep(capsys):
+    # the benchmark's cli-roundtrip eval command, at its small size
+    assert main(["eval", "--method", "subsampled", "--d", "16", "--L", "8",
+                 "--D", "500", "--diameter", "0.5", "--n-eval", "2000",
+                 "--gamma", "0.5", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    config = {"methods": ["subsampled"], "d": 16, "gamma": 0.5, "D": [500],
+              "M": [0.5], "seeds": [5], "n_eval": 2000, "L": 8}
+    assert (strip_timing_columns(out)
+            == strip_timing_columns(reports_to_csv(sweep(config))))

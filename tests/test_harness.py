@@ -24,7 +24,13 @@ from quadfeat.harness import (
     sweep,
     synthetic_mixture,
 )
-from quadfeat.kernels import GaussianKernel, random_anova
+from quadfeat.kernels import (
+    AnovaKernel,
+    GaussianKernel,
+    load_anova,
+    random_anova,
+    save_anova,
+)
 
 
 class TestLoadCsv:
@@ -93,6 +99,14 @@ class TestErrorMeasures:
         # the rule is exact through total degree 15; bound taken at 14
         bound = 3.0 * (math.e * 0.25 / 14) ** 7
         assert max_error_empirical(fm, kernel, 0.5, 50_000, seed=1) <= bound
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
+    def test_diameter_must_be_finite_and_non_negative(self, M):
+        # nan passed a bare `M < 0` check and gave NaN displacements
+        with pytest.raises(ValueError, match="M must be"):
+            displacement_sample(3, M, 10, seed=0)
+        with pytest.raises(ValueError, match="M must be"):
+            error_stats(rff(3, 8, 0.5, 0), GaussianKernel(0.5), M, 10, seed=0)
 
     def test_displacements_respect_the_radius(self):
         U = displacement_sample(6, 1.7, 10_000, seed=4)
@@ -279,6 +293,45 @@ def test_sweep_reweighted_method(tmp_path):
     assert [r.method for r in reports] == ["reweighted", "rff"]
     assert reports[0].D <= 24  # fitted support never exceeds the target
     assert reports[1].D == 24
+
+
+class TestAnovaConfig:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "anova.json"
+        save_anova(random_anova(d=4, m=2, subset_size=2, gamma=0.25, seed=6),
+                   str(path))
+        return {"methods": ["rff"], "D": [8], "M": [0.5], "seeds": [0],
+                "n_eval": 200, "anova": str(path)}
+
+    def test_structure_file_sets_d_and_gamma(self, spec):
+        cfg = SweepConfig.from_dict(spec)
+        assert (cfg.d, cfg.gamma, cfg.anova) == (4, 0.25, spec["anova"])
+        assert isinstance(cfg.kernel(), AnovaKernel)
+        # values that agree with the file are accepted
+        assert SweepConfig.from_dict({**spec, "d": 4, "gamma": 0.25}) == cfg
+
+    @pytest.mark.parametrize("key,value", [("d", 5), ("gamma", 0.5),
+                                           ("gamma", math.nan), ("d", "4")])
+    def test_disagreeing_value_is_named(self, spec, key, value):
+        with pytest.raises(ConfigError) as exc:
+            SweepConfig.from_dict({**spec, key: value})
+        assert exc.value.key == key
+
+    def test_unreadable_structure_file_is_named(self, spec, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (tmp_path / "missing.json", bad):
+            with pytest.raises(ConfigError) as exc:
+                SweepConfig.from_dict({**spec, "anova": str(path)})
+            assert exc.value.key == "anova"
+
+    def test_sweep_measures_the_anova_kernel(self, spec):
+        (row,) = sweep(spec)
+        kernel = load_anova(spec["anova"])
+        fm = build_anova_map(kernel, "rff", 8, 0)
+        assert (row.d, row.D, row.gamma) == (4, fm.count, 0.25)
+        assert (row.max_err, row.rms_err) == error_stats(fm, kernel, 0.5, 200, 0)
 
 
 def test_sweep_reweighted_requires_data():

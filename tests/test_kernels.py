@@ -1,9 +1,13 @@
 """Tests for exact kernel evaluation and ANOVA structure handling."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from quadfeat.errors import ConfigError
+from quadfeat.featuremaps import FeatureMap, rff
+from quadfeat.grids import dense_grid
 from quadfeat.kernels import (
     AnovaKernel,
     GaussianKernel,
@@ -36,6 +40,16 @@ class TestGaussian:
     def test_gamma_positive_required(self):
         with pytest.raises(ValueError):
             GaussianKernel(0.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_gamma_finite_required(self, gamma):
+        # inf passed a bare `gamma > 0` check and made every value NaN
+        with pytest.raises(ValueError, match="finite"):
+            GaussianKernel(gamma)
+        with pytest.raises(ValueError, match="finite"):
+            FeatureMap(dense_grid(2, 2), "dense", gamma)
+        with pytest.raises(ValueError, match="finite"):
+            rff(2, 8, gamma, 0)
 
 
 def brute_force_anova(subsets, gamma, x, y):
@@ -136,6 +150,29 @@ def test_structure_file_round_trip(tmp_path):
     assert back.subsets == k.subsets
     assert back.d == k.d
     assert back.base.gamma == k.base.gamma
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"d": 4, "gamma": 0.5}, "subsets"),
+    ({"d": 4, "gamma": 0.5, "subsets": 5}, "subsets"),
+    ({"d": 4, "gamma": 0.5, "subsets": [[1, 5]]}, "subsets"),
+    ({"d": 4, "gamma": 0.5, "subsets": [[1.5]]}, "subsets"),
+    ({"d": 4, "gamma": 0.5, "subsets": []}, "subsets"),
+    ({"d": "x", "gamma": 0.5, "subsets": [[1]]}, "d"),
+    ({"d": 0, "gamma": 0.5, "subsets": [[1]]}, "d"),
+    ({"gamma": 0.5, "subsets": [[1]]}, "d"),
+    ({"d": 4, "gamma": "0.5", "subsets": [[1]]}, "gamma"),
+    ({"d": 4, "gamma": -1.0, "subsets": [[1]]}, "gamma"),
+    ({"d": 4, "subsets": [[1]]}, "gamma"),
+    ([[1, 2]], "d"),
+])
+def test_malformed_structure_file_names_its_field(tmp_path, payload, key):
+    path = tmp_path / "anova.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as exc:
+        load_anova(str(path))
+    assert exc.value.key == key
+    assert repr(key) in str(exc.value)
 
 
 def test_kernel_values_accepts_callables():
