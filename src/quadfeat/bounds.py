@@ -11,8 +11,8 @@ from typing import Optional
 
 def subgaussian_parameter(gamma: float) -> float:
     """b for the N(0, 2 gamma I) spectrum of exp(-gamma |u|^2)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return math.sqrt(2.0 * gamma)
 
 
@@ -21,8 +21,8 @@ def poly_bound(b: float, M: float, R: int) -> float:
     weights exact through even degree R >= 2."""
     if R < 2 or R % 2 != 0:
         raise ValueError("R must be an even integer >= 2")
-    if b <= 0 or M < 0:
-        raise ValueError("b must be positive and M non-negative")
+    if not (0 < b < math.inf and 0 <= M < math.inf):
+        raise ValueError("b must be positive and M non-negative, both finite")
     return 3.0 * (math.e * b * b * M * M / R) ** (R / 2)
 
 
@@ -31,8 +31,8 @@ def sparse_bound(b: float, M: float, A: int, d: int) -> Optional[float]:
 
     Applies only when A >= 24 e b^2 M^2; returns None outside that regime.
     """
-    if b <= 0 or M < 0 or A < 0 or d < 1:
-        raise ValueError("need b > 0, M >= 0, A >= 0, d >= 1")
+    if not (0 < b < math.inf and 0 <= M < math.inf) or A < 0 or d < 1:
+        raise ValueError("need finite b > 0 and M >= 0, A >= 0, d >= 1")
     if M == 0.0:
         return 0.0
     if A < 24.0 * math.e * b * b * M * M:

@@ -55,15 +55,52 @@ from .grids import (
 )
 from .kernels import AnovaKernel
 
-METHOD_TAGS = ("rff", "qmc", "dense", "sparse", "subsampled", "poly_exact",
-               "reweighted", "anova")
+# each CLI method name -> the tag its feature maps carry
+METHOD_TAGS = {"rff": "rff", "qmc": "qmc", "dense": "dense", "sparse": "sparse",
+               "subsampled": "subsampled", "poly-exact": "poly_exact",
+               "reweighted": "reweighted"}
 
 # phase entries (displacements x points) the generic estimator holds at once
 PHASE_BUFFER = 2**20
 
 
+class _MapShell:
+    """What FeatureMap and AnovaFeatureMap share: the input checks and the
+    single-pair and single-row forms of their ``approx`` and ``embed_batch``.
+    """
+
+    def _check_width(self, width: int) -> None:
+        if width != self.d:
+            raise ValueError(f"expected dimension {self.d}, got {width}")
+
+    def _displacement_rows(self, u) -> tuple[np.ndarray, bool]:
+        """``u`` as an (n, d) float array, and whether it was one (d,)
+        displacement; other ranks and widths are refused."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim not in (1, 2):
+            raise ValueError(f"displacements must have shape ({self.d},) or "
+                             f"(n, {self.d}), got shape {u.shape}")
+        self._check_width(u.shape[-1])
+        return np.atleast_2d(u), u.ndim == 1
+
+    def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
+        """k~(x, y) = k~(x - y)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != (self.d,) or y.shape != (self.d,):
+            raise ValueError(f"inputs must have shape ({self.d},)")
+        return float(self.approx(x - y))
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The embedding of one point, a row of ``embed_batch``: length 2D."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.d,):
+            raise ValueError(f"input must have shape ({self.d},)")
+        return self.embed_batch(x[None, :])[0]
+
+
 @dataclass(frozen=True)
-class FeatureMap:
+class FeatureMap(_MapShell):
     """A grid packaged for embedding data at bandwidth gamma."""
 
     grid: GridQuadrature
@@ -71,7 +108,7 @@ class FeatureMap:
     gamma: float
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
+        if self.method not in METHOD_TAGS.values():
             raise ValueError(f"unknown method tag {self.method!r}")
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
@@ -102,11 +139,7 @@ class FeatureMap:
         Factored from ``grid.structure`` when the grid has one, otherwise
         summed over the points.
         """
-        u = _displacements(u, self.d)
-        single = u.ndim == 1
-        U = np.atleast_2d(u)
-        if U.shape[1] != self.d:
-            raise ValueError(f"expected dimension {self.d}, got {U.shape[1]}")
+        U, single = self._displacement_rows(u)
         if self.grid.structure is not None:
             out = structured_cos_sum(self.grid.structure,
                                      U * math.sqrt(2.0 * self.gamma))
@@ -131,24 +164,10 @@ class FeatureMap:
             out[start:start + rows] = half @ self.grid.weights
         return out
 
-    def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
-        """k~(x, y) = sum_i a_i cos(w_i'(x - y))."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.d,) or y.shape != (self.d,):
-            raise ValueError(f"inputs must have shape ({self.d},)")
-        return float(self.approx(x - y))
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Real features [sqrt(a) cos(w'x)] ++ [sqrt(a) sin(w'x)], length 2D."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"input must have shape ({self.d},)")
-        return self.embed_batch(x[None, :])[0]
-
     def embed_batch(self, X: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """Row-wise embedding of an (n, d) data matrix, giving (n, 2D).
+        """Row-wise real features [sqrt(a) cos(w'x)] ++ [sqrt(a) sin(w'x)]
+        of an (n, d) data matrix, giving (n, 2D).
 
         The features are written into ``out`` when it is given (a float64
         array of shape (n, 2D); strided views and memmaps are fine), else
@@ -156,8 +175,7 @@ class FeatureMap:
         before anything is written.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected dimension {self.d}, got {X.shape[1]}")
+        self._check_width(X.shape[1])
         s = self._sqrt_weights
         out = _embedding_output(out, (X.shape[0], 2 * self.count))
         # np.cos and np.sin, not the estimator's tangent identity: embeddings
@@ -169,15 +187,6 @@ class FeatureMap:
         cos *= s
         sin *= s
         return out
-
-
-def _displacements(u, d: int) -> np.ndarray:
-    """``u`` as floats, refused unless shaped as one displacement or a batch."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2):
-        raise ValueError(f"displacements must have shape ({d},) or (n, {d}), "
-                         f"got shape {u.shape}")
-    return u
 
 
 def _embedding_output(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
@@ -292,7 +301,7 @@ def embed_grid_fast(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AnovaFeatureMap:
+class AnovaFeatureMap(_MapShell):
     """Concatenation of per-subset feature maps approximating an ANOVA sum."""
 
     sub_maps: tuple[tuple[tuple[int, ...], FeatureMap], ...]
@@ -309,30 +318,14 @@ class AnovaFeatureMap:
     def count(self) -> int:
         return sum(fm.count for _, fm in self.sub_maps)
 
-    def _check_width(self, width: int) -> None:
-        if width != self.d:
-            raise ValueError(f"expected dimension {self.d}, got {width}")
-
     def approx(self, u: np.ndarray) -> float | np.ndarray:
-        u = _displacements(u, self.d)
-        self._check_width(u.shape[-1])
-        total = 0.0 if u.ndim == 1 else np.zeros(u.shape[0])
+        """The sum of the sub-map estimates at displacement(s) u, shape (d,)
+        or (n, d)."""
+        U, single = self._displacement_rows(u)
+        total = np.zeros(U.shape[0])
         for S, fm in self.sub_maps:
-            total += fm.approx(u[..., np.array(S) - 1])
-        return float(total) if u.ndim == 1 else total
-
-    def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.d,) or y.shape != (self.d,):
-            raise ValueError(f"inputs must have shape ({self.d},)")
-        return float(self.approx(x - y))
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ValueError(f"input must have shape ({self.d},)")
-        return self.embed_batch(x[None, :])[0]
+            total += fm.approx(U[:, np.array(S) - 1])
+        return float(total[0]) if single else total
 
     def embed_batch(self, X: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:

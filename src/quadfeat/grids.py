@@ -13,8 +13,11 @@ Three constructions:
   law so grids far beyond the materialization cap can still be subsampled.
 
 The Hermite rules of sizes 1, 2, 4, ..., 2^A share no node, so each point
-of a Smolyak grid lies in exactly one tensor block and no points need
-merging.
+of a Smolyak grid lies in exactly one tensor block, no weight cancels and
+no points need merging; every point of the combination-technique rule is
+kept, however small its weight.  In one dimension the level-A grid is the
+2^A-point Gauss rule itself.  Dense grids and Smolyak blocks come from one
+tensor builder, ``_append_coordinate``, applied one coordinate at a time.
 
 The dense and Smolyak constructors also record the rule they expand in the
 grid's ``structure`` field, and ``structured_cos_sum`` evaluates the kernel
@@ -44,7 +47,6 @@ from .quad1d import gauss_hermite, normal_moment
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_CONSTRAINT_CAP = 1_000_000
 MERGE_DECIMALS = 12
-SPARSE_DROP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,13 @@ def _check_unique_rows(points: np.ndarray) -> None:
         raise ValueError("duplicate points after merging")
 
 
+def _append_coordinate(points, weights, rule):
+    """Pair every (point, weight) with every node of ``rule`` in a new last coordinate."""
+    n, L = points.shape[0], rule.point_count
+    return (np.column_stack([np.repeat(points, L, axis=0), np.tile(rule.nodes, n)]),
+            np.multiply.outer(weights, rule.weights).ravel())
+
+
 def dense_grid(L: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     """Tensor product of the L-point one-dimensional rule over d dimensions.
 
@@ -122,12 +131,10 @@ def dense_grid(L: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
             cap=cap,
         )
     rule = gauss_hermite(L)
-    mesh = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = rule.weights
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, rule.weights)
-    g = GridQuadrature(points, weights.ravel(), provenance=f"dense(L={L}, d={d})")
+    points, weights = np.zeros((1, 0)), np.ones(1)
+    for _ in range(d):
+        points, weights = _append_coordinate(points, weights, rule)
+    g = GridQuadrature(points, weights, provenance=f"dense(L={L}, d={d})")
     object.__setattr__(g, "structure", ("dense", L))
     return g
 
@@ -215,13 +222,6 @@ def _level_multi_indices(d: int, A: int):
     yield from rec([], A, d)
 
 
-def _append_coordinate(points, weights, rule):
-    """Pair every (point, weight) with every node of ``rule`` in a new last coordinate."""
-    n, L = points.shape[0], rule.point_count
-    return (np.column_stack([np.repeat(points, L, axis=0), np.tile(rule.nodes, n)]),
-            np.multiply.outer(weights, rule.weights).ravel())
-
-
 def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     """Smolyak sparse grid up to total level A, by the combination technique.
 
@@ -229,10 +229,11 @@ def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     The grid is the sum of the tensor blocks rule(l_1) x ... x rule(l_d)
     with A - d < |l| <= A, block l weighted by (-1)^(A - |l|) C(d - 1,
     A - |l|) (Gerstner & Griebel 1998).  Each point lies in exactly one
-    block, so nothing is merged.  The blocks are built one coordinate at a
-    time, grouped by total level; weights at most ``SPARSE_DROP_TOL`` in
-    magnitude are dropped, and points come in lexicographic order.  Point
-    count obeys D <= 3^A * C(d + A, A).
+    block, so nothing is merged and nothing cancels: the grid keeps every
+    point of the rule, and in one dimension it is the 2^A-point Gauss rule.
+    The blocks are built one coordinate at a time, grouped by total level,
+    and points come in lexicographic order.  Point count obeys
+    D <= 3^A * C(d + A, A).
     """
     if A < 0 or d < 1:
         raise ValueError("A must be >= 0 and d positive")
@@ -261,8 +262,6 @@ def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     points = np.concatenate([levels[r][0] for r in range(lowest, A + 1)])
     weights = np.concatenate([(-1) ** (A - r) * math.comb(d - 1, A - r) * levels[r][1]
                               for r in range(lowest, A + 1)])
-    keep = np.abs(weights) > SPARSE_DROP_TOL
-    points, weights = points[keep], weights[keep]
     order = np.lexsort(points.T[::-1])
     if points.shape[0] > (3**A) * math.comb(d + A, A):
         raise AssertionError("sparse grid exceeded its theoretical count bound")

@@ -13,13 +13,14 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, CsvParseError
 from .featuremaps import (
+    METHOD_TAGS,
     AnovaFeatureMap,
     FeatureMap,
     qmc_halton,
@@ -30,10 +31,7 @@ from .grids import dense_grid, sparse_grid, subsample_dense_grid
 from .kernels import AnovaKernel, GaussianKernel, kernel_values, load_anova
 from .solvers import bisect_lambda, construct_poly_exact, reweight
 
-REPORT_HEADER = "method,d,D,gamma,M,max_err,rms_err,n_eval,seed,build_ms,embed_ms"
-
-CLI_METHODS = ("rff", "qmc", "dense", "sparse", "subsampled", "poly-exact",
-               "reweighted")
+CLI_METHODS = tuple(METHOD_TAGS)
 
 
 @dataclass(frozen=True)
@@ -64,19 +62,18 @@ class ErrorReport:
             raise ValueError("error measures must be non-negative")
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.method, str(self.d), str(self.D), repr(self.gamma),
-            repr(self.M), repr(self.max_err), repr(self.rms_err),
-            str(self.n_eval), str(self.seed), str(self.build_ms),
-            str(self.embed_ms),
-        ])
+        """The fields in ``REPORT_HEADER`` order; floats print as their
+        shortest round-tripping repr."""
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+
+
+REPORT_HEADER = ",".join(f.name for f in fields(ErrorReport))
 
 
 @dataclass(frozen=True)
 class Dataset:
     rows: np.ndarray
     source: str = ""
-    normalization: Optional[dict] = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -98,8 +95,8 @@ class Dataset:
 
 def load_csv(path: str) -> Dataset:
     """Comma-separated reals, one row per line; a non-numeric first row is
-    treated as a header.  Ragged or non-numeric data raises CsvParseError
-    with the offending 1-based line number."""
+    treated as a header.  Ragged, non-numeric or non-finite (nan, inf) data
+    raises CsvParseError with the offending 1-based line number."""
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -115,6 +112,9 @@ def load_csv(path: str) -> Dataset:
                     continue  # header
                 raise CsvParseError(
                     f"{path}: non-numeric cell at line {lineno}", line=lineno)
+            if not all(map(math.isfinite, values)):
+                raise CsvParseError(
+                    f"{path}: non-finite cell at line {lineno}", line=lineno)
             if width is None:
                 width = len(values)
             elif len(values) != width:

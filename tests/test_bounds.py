@@ -74,6 +74,19 @@ def test_subgaussian_parameter():
         subgaussian_parameter(0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_refused(x):
+    # checks written as `b <= 0 or M < 0` let nan and inf through, to come
+    # back as a nan or inf bound, or as None ("outside the regime")
+    with pytest.raises(ValueError, match="gamma"):
+        subgaussian_parameter(x)
+    for args in ((x, 1.0), (1.0, x)):
+        with pytest.raises(ValueError, match="finite"):
+            poly_bound(*args, 2)
+        with pytest.raises(ValueError, match="finite"):
+            sparse_bound(*args, 3, 2)
+
+
 def test_bound_dominates_dense_grid_error():
     # property at small scale; the acceptance suite runs the full set
     kernel = GaussianKernel(0.5)

@@ -408,6 +408,14 @@ class TestAnovaComposition:
             assert total <= parts + 1e-12
 
 
+def test_unknown_method_tag_refused():
+    grid = GridQuadrature(np.zeros((1, 2)), np.ones(1))
+    # tags are the values of METHOD_TAGS: a CLI spelling is not a tag
+    for method in ("poly-exact", "anova", "RFF"):
+        with pytest.raises(ValueError, match="unknown method tag"):
+            FeatureMap(grid, method, 0.5)
+
+
 def test_feature_map_serialization_round_trip(tmp_path):
     fm = qmc_halton(3, 20, 0.7)
     back = feature_map_from_json(feature_map_to_json(fm))

@@ -12,6 +12,8 @@ from quadfeat.grids import (
     exactness_residual,
     grid_from_json,
     grid_to_json,
+    moment_multi_indices,
+    moment_targets,
     sparse_grid,
     subsample_dense_grid,
     subsample_grid,
@@ -51,10 +53,28 @@ class TestDenseGrid:
     def test_exactness_to_degree_2L_minus_1(self, L, d):
         assert exactness_residual(dense_grid(L, d), 2 * L - 1) <= 1e-9
 
+    @pytest.mark.parametrize("L,d", [(1, 1), (1, 4), (2, 5), (3, 3), (4, 2),
+                                     (5, 4), (8, 3)])
+    def test_matches_meshgrid_construction(self, L, d):
+        # the tensor builder against the meshgrid stack and outer products
+        rule = gauss_hermite(L)
+        mesh = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+        weights = rule.weights
+        for _ in range(d - 1):
+            weights = np.multiply.outer(weights, rule.weights)
+        g = dense_grid(L, d)
+        np.testing.assert_array_equal(g.points, np.stack([m.ravel() for m in mesh],
+                                                         axis=1))
+        np.testing.assert_array_equal(g.weights, weights.ravel())
+
 
 def reference_sparse_accumulation(A, d):
-    """Independent signed accumulation over difference-term branches."""
-    acc = {}
+    """Independent signed accumulation over difference-term branches.
+
+    A point is dropped only when its terms cancel, to rounding of the sum of
+    their magnitudes; a small weight that nothing cancels is kept.
+    """
+    acc, scale = {}, {}
     levels = [m for m in itertools.product(range(A + 1), repeat=d)
               if sum(m) <= A]
     for m in levels:
@@ -75,7 +95,8 @@ def reference_sparse_accumulation(A, d):
                 w = sign * math.prod(rules[j].weights[nodes_idx[j]]
                                      for j in range(d))
                 acc[point] = acc.get(point, 0.0) + w
-    return {k: v for k, v in acc.items() if abs(v) > 1e-13}
+                scale[point] = scale.get(point, 0.0) + abs(w)
+    return {k: v for k, v in acc.items() if abs(v) > 1e-13 * scale[k]}
 
 
 class TestSparseGrid:
@@ -87,11 +108,19 @@ class TestSparseGrid:
             np.testing.assert_allclose(g.weights, [1.0])
 
     def test_one_dimensional_telescoping(self):
-        # G^1 + (G^2 - G^1) + (G^4 - G^2) collapses to G^4 exactly
-        g = sparse_grid(2, 1)
-        rule = gauss_hermite(4)
-        np.testing.assert_array_equal(g.points.ravel(), rule.nodes)
-        np.testing.assert_array_equal(g.weights, rule.weights)
+        # G^1 + (G^2 - G^1) + ... + (G^(2^A) - G^(2^(A-1))) collapses to
+        # G^(2^A) exactly, down to its smallest outer weights
+        for A in range(8):
+            g = sparse_grid(A, 1)
+            rule = gauss_hermite(2**A)
+            np.testing.assert_array_equal(g.points.ravel(), rule.nodes)
+            np.testing.assert_array_equal(g.weights, rule.weights)
+
+    def test_keeps_every_point_of_the_rule(self):
+        g = sparse_grid(6, 2)
+        assert g.count == 640
+        largest = np.abs(moment_targets(moment_multi_indices(2, 20))).max()
+        assert exactness_residual(g, 20) <= 1e-12 * largest
 
     def test_count_anchor_d25_A2(self):
         g = sparse_grid(2, 25)

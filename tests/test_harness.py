@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from quadfeat.errors import ConfigError, CsvParseError
-from quadfeat.featuremaps import FeatureMap, rff
+from quadfeat.featuremaps import METHOD_TAGS, FeatureMap, rff
 from quadfeat.grids import dense_grid
 from quadfeat.harness import (
+    CLI_METHODS,
     REPORT_HEADER,
     Dataset,
+    ErrorReport,
     SweepConfig,
     build_anova_map,
+    build_method_map,
     displacement_sample,
     error_stats,
     load_csv,
@@ -60,6 +63,16 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError) as exc:
             load_csv(str(path))
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        # float() parses these, so the check used to fall to Dataset,
+        # which knows no line numbers
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n5,6\n")
+        with pytest.raises(CsvParseError, match="non-finite") as exc:
+            load_csv(str(path))
+        assert exc.value.line == 3
 
 
 class TestSamplePairs:
@@ -231,6 +244,13 @@ class TestSweep:
         assert REPORT_HEADER == ("method,d,D,gamma,M,max_err,rms_err,"
                                  "n_eval,seed,build_ms,embed_ms")
 
+    def test_row_exact(self):
+        report = ErrorReport(method="poly-exact", d=3, D=40, gamma=0.5, M=1.0,
+                             max_err=0.1 + 0.2, rms_err=1e-17, n_eval=1000,
+                             seed=7, build_ms=12, embed_ms=0)
+        assert report.csv_row() == ("poly-exact,3,40,0.5,1.0,0.30000000000000004,"
+                                    "1e-17,1000,7,12,0")
+
     def test_sparse_reports_actual_point_count(self):
         from quadfeat.grids import sparse_grid
         reports = sweep({"methods": ["sparse"], "d": 4, "gamma": 0.5,
@@ -272,6 +292,15 @@ class TestSweep:
         assert [r.build_ms >= 5 for r in reports] == built_rows
         assert all(r.build_ms == 0
                    for r, built in zip(reports, built_rows) if not built)
+
+
+def test_every_cli_method_builds_its_tag():
+    assert CLI_METHODS == tuple(METHOD_TAGS)
+    data = synthetic_mixture(200, seed=14, d=2, components=2)
+    for method in CLI_METHODS:
+        fm = build_method_map(method, 2, 30, 0.5, seed=0, L=3, level=1,
+                              data=data, pairs=40)
+        assert fm.method == METHOD_TAGS[method]
 
 
 def test_build_anova_map_counts():
