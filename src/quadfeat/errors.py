@@ -52,8 +52,18 @@ class CsvParseError(QuadfeatError):
 
 
 class ConfigError(QuadfeatError):
-    """Invalid sweep configuration; ``key`` names the offending entry."""
+    """Invalid sweep configuration or file field; ``key`` names the offending entry."""
 
     def __init__(self, message: str, key: str):
         super().__init__(message)
         self.key = key
+
+
+def config_field(raw, key: str, make, where: str):
+    """``make(raw[key])``; ConfigError keyed by the field if missing or refused."""
+    if not isinstance(raw, dict) or key not in raw:
+        raise ConfigError(f"{where}: missing field {key!r}", key=key)
+    try:
+        return make(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: field {key!r}: {exc}", key=key) from None

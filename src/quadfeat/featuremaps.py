@@ -35,6 +35,7 @@ features, Halton points mapped through ``statistics.NormalDist``'s quantile.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmbeddingUnsupportedError
+from .errors import EmbeddingUnsupportedError, config_field
 from .grids import (
     GridQuadrature,
     _cos_from_half,
@@ -53,7 +54,7 @@ from .grids import (
     structured_cos_sum,
     subsample_dense_grid,
 )
-from .kernels import AnovaKernel
+from .kernels import AnovaKernel, GaussianKernel, _number
 
 # each CLI method name -> the tag its feature maps carry
 METHOD_TAGS = {"rff": "rff", "qmc": "qmc", "dense": "dense", "sparse": "sparse",
@@ -143,8 +144,6 @@ class FeatureMap(_MapShell):
         if self.grid.structure is not None:
             out = structured_cos_sum(self.grid.structure,
                                      U * math.sqrt(2.0 * self.gamma))
-        elif self.count == 0:
-            out = np.zeros(U.shape[0])
         else:
             out = self._approx_points(U)
         return float(out[0]) if single else out
@@ -152,7 +151,7 @@ class FeatureMap(_MapShell):
     def _approx_points(self, U: np.ndarray) -> np.ndarray:
         # the buffer takes the half-phases w_i'u / 2 (halving is exact) and
         # then their doubled-angle cosines, from numpy's vectorized tangent
-        rows = max(1, min(U.shape[0], PHASE_BUFFER // self.count))
+        rows = max(1, min(U.shape[0], PHASE_BUFFER // max(1, self.count)))
         F = 0.5 * self.frequencies.T
         P = np.empty((rows, self.count))
         out = np.empty(U.shape[0])
@@ -366,8 +365,12 @@ def feature_map_to_json(fm: FeatureMap) -> dict:
 
 
 def feature_map_from_json(payload: dict) -> FeatureMap:
+    """The map of a ``feature_map_to_json`` payload; a bad field raises
+    ConfigError keyed by the field, as in ``grid_from_json``."""
+    field = functools.partial(config_field, payload, where="feature map file")
     grid = grid_from_json(payload)
-    return FeatureMap(grid, str(payload["method"]), float(payload["gamma"]))
+    gamma = field("gamma", lambda g: GaussianKernel(_number(g)).gamma)
+    return field("method", lambda m: FeatureMap(grid, m, gamma))
 
 
 def save_feature_map(fm: FeatureMap, path: str) -> None:

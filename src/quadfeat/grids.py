@@ -1,32 +1,30 @@
 """Multi-dimensional quadrature point sets for the standard normal spectrum.
 
-Three constructions:
-
-* dense tensor grids: every combination of one-dimensional nodes, weight
-  equal to the product of the per-dimension weights (L^d points);
-* Smolyak sparse grids of level A, built by the combination technique as
-  a signed sum of tensor blocks of the rules of size 2^m (level 0 uses
-  the single-point rule);
-* weight-proportional subsampling, which draws points i.i.d. with
-  probability proportional to weight and assigns 1/D per draw, merging
-  duplicates.  A lattice variant draws directly from the tensor-product
-  law so grids far beyond the materialization cap can still be subsampled.
-
+Dense tensor grids (L^d points, product weights) and Smolyak sparse grids
+of level A are one construction.  A grid's ``structure`` record names a
+family of one-dimensional rules by level m and a total level A: the
+2^m-point rules, m = 0..A, for ("sparse", A), and the one L-point rule
+with A = 0 for ("dense", L), so a dense grid is the level-0 rule over
+[L].  Both rules are sums over multi-indices m in N^d by total level |m|
+(Smolyak 1963; Gerstner & Griebel 1998), and one recursion, ``_by_level``,
+carries one value per total level through the coordinates.  It counts a
+grid's points for the size cap, builds its points and weights with the
+tensor builder ``_append_coordinate``, accumulates the factored kernel
+estimate of ``structured_cos_sum``, and lists ``moment_multi_indices``.
 The Hermite rules of sizes 1, 2, 4, ..., 2^A share no node, so each point
-of a Smolyak grid lies in exactly one tensor block, no weight cancels and
-no points need merging; every point of the combination-technique rule is
-kept, however small its weight.  In one dimension the level-A grid is the
-2^A-point Gauss rule itself.  Dense grids and Smolyak blocks come from one
-tensor builder, ``_append_coordinate``, applied one coordinate at a time.
+of a Smolyak grid lies in exactly one tensor block, no weight cancels, and
+every point is kept, however small its weight; in one dimension the
+level-A grid is the 2^A-point Gauss rule itself.
 
-The dense and Smolyak constructors also record the rule they expand in the
-grid's ``structure`` field, and ``structured_cos_sum`` evaluates the kernel
-estimate sum_i a_i cos(w_i'v) from that record as a product (dense) or a
-signed sum of products (Smolyak) of one-dimensional cosine sums, without
-touching the materialized points.  Each one-dimensional sum folds the
-rule's mirror pairs, so an L-point rule costs floor(L/2) cosines.  The
-record is not serialized, and every grid derived from another
-(subsampled, reweighted, loaded) carries none.
+``structured_cos_sum`` evaluates the estimate sum_i a_i cos(w_i'v) from the
+``structure`` record as sums of products of one-dimensional cosine sums,
+without touching the points; each one-dimensional sum folds the rule's
+mirror pairs, so an L-point rule costs floor(L/2) cosines.  The record is
+not serialized, and every grid derived from another (subsampled,
+reweighted, loaded) carries none.  Weight-proportional subsampling draws
+points i.i.d. with probability proportional to weight, 1/D per draw,
+merging duplicates; a lattice variant draws from the tensor-product law,
+so grids far beyond the materialization cap can still be subsampled.
 
 Every cosine of the kernel estimate, here and on the generic path in
 ``featuremaps``, comes from ``_cos_from_half`` by the half-angle identity
@@ -35,13 +33,15 @@ AVX512 CPUs where its cosine is not.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridSizeError
+from .errors import ConfigError, GridSizeError, config_field
 from .quad1d import gauss_hermite, normal_moment
 
 DEFAULT_POINT_CAP = 10_000_000
@@ -115,33 +115,76 @@ def _append_coordinate(points, weights, rule):
             np.multiply.outer(weights, rule.weights).ravel())
 
 
-def dense_grid(L: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
-    """Tensor product of the L-point one-dimensional rule over d dimensions.
+def _by_level(levels, d, extend, join):
+    """Carry one value per total level through d coordinates: after
+    coordinate j, level r is join([extend(levels[r - m], m, j) for m = 0..r])."""
+    for j in range(d):
+        levels = [join([extend(levels[r - m], m, j) for m in range(r + 1)])
+                  for r in range(len(levels))]
+    return levels
 
-    Produces L^d points with positive product weights; exact for every
-    monomial whose per-coordinate degree is at most 2L - 1.
-    """
-    if L < 1 or d < 1:
-        raise ValueError("L and d must be positive")
-    total = L**d
+
+def _family(structure: tuple):
+    """A ``structure`` record's rules by level m and its total level A:
+    ([L-point rule], 0) or ([2^m-point rules, m = 0..A], A)."""
+    kind, level = structure
+    if kind == "dense":
+        return [gauss_hermite(level)], 0
+    return [gauss_hermite(2**m) for m in range(level + 1)], level
+
+
+def _concat(parts):
+    """One (points, weights) pair from a list of them, uncopied if alone."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _structured_grid(structure: tuple, d: int, cap: int,
+                     provenance: str) -> GridQuadrature:
+    """The rule of ``structure`` in d dimensions, checked against ``cap``: the
+    tensor blocks rule(m_1) x ... x rule(m_d) of total level A - d < r <= A,
+    level r weighted by (-1)^(A - r) C(d - 1, A - r), points lexicographic."""
+    rules, A = _family(structure)
+    lowest = max(0, A - d + 1)
+    counts = _by_level([1] + [0] * A, d,
+                       lambda c, m, j: c * rules[m].point_count, sum)
+    total = sum(counts[lowest:])
     if total > cap:
-        raise GridSizeError(
-            f"dense grid would need L^d = {total} points (cap {cap})",
-            requested=total,
-            cap=cap,
-        )
-    rule = gauss_hermite(L)
-    points, weights = np.zeros((1, 0)), np.ones(1)
-    for _ in range(d):
-        points, weights = _append_coordinate(points, weights, rule)
-    g = GridQuadrature(points, weights, provenance=f"dense(L={L}, d={d})")
-    object.__setattr__(g, "structure", ("dense", L))
+        raise GridSizeError(f"{provenance} would need {total} points (cap {cap})",
+                            requested=total, cap=cap)
+    levels = _by_level([(np.zeros((1, 0)), np.ones(1))]
+                       + [(np.zeros((0, 0)), np.zeros(0))] * A, d,
+                       lambda block, m, j: _append_coordinate(*block, rules[m]),
+                       _concat)
+    points, weights = _concat(
+        [(levels[r][0], (-1) ** (A - r) * math.comb(d - 1, A - r) * levels[r][1])
+         for r in range(lowest, A + 1)])
+    if A and d > 1:  # more than one block: interleave them
+        order = np.lexsort(points.T[::-1])
+        points, weights = points[order], weights[order]
+    g = GridQuadrature(points, weights, provenance=provenance)
+    object.__setattr__(g, "structure", structure)
     return g
 
 
-def _level_rule(m: int):
-    """Rule backing level m of the sparse construction: size 2^m, level 0 is size 1."""
-    return gauss_hermite(1 if m == 0 else 2**m)
+def dense_grid(L: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
+    """Tensor product of the L-point one-dimensional rule over d dimensions:
+    L^d points with positive product weights, exact for every monomial
+    whose per-coordinate degree is at most 2L - 1."""
+    if L < 1 or d < 1:
+        raise ValueError("L and d must be positive")
+    return _structured_grid(("dense", L), d, cap, f"dense(L={L}, d={d})")
+
+
+def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
+    """Smolyak sparse grid up to total level A over the 2^m-point rules
+    (level 0 the origin; 2^A <= 200), by the combination technique of
+    ``_structured_grid``.  Each point lies in exactly one tensor block, so
+    nothing is merged and nothing cancels; in one dimension the grid is the
+    2^A-point Gauss rule.  Point count obeys D <= 3^A * C(d + A, A).
+    """
+    if A < 0 or d < 1:
+        raise ValueError("A must be >= 0 and d positive")
+    return _structured_grid(("sparse", A), d, cap, f"sparse(A={A}, d={d})")
 
 
 def _cos_from_half(h: np.ndarray) -> np.ndarray:
@@ -184,90 +227,21 @@ def structured_cos_sum(structure: tuple, V: np.ndarray) -> np.ndarray:
     """sum_i a_i cos(w_i'v) for each row v of the (n, d) array V, from a
     grid's ``structure`` record instead of its points.
 
-    ``("dense", L)``: the tensor rule factors over coordinates, giving
-    prod_j g_L(v_j) at n d floor(L/2) cosines.  ``("sparse", A)``: the
-    Smolyak sum sum_{|m| <= A} prod_j Delta_{m_j}(v_j), with Delta_0 = 1
-    and Delta_m = g_{2^m} - g_{2^{m-1}} (g_1 = 1), is accumulated one
-    coordinate at a time by total level (Smolyak 1963; Gerstner & Griebel
-    1998), at n d (2^A - 1) cosines and O(d A^2) products per row.
+    With g_m the cosine sum of the record's rule m (``_family``),
+    Delta_0 = g_0 and Delta_m = g_m - g_{m-1}, the rule's estimate is the
+    sum over |m| <= A of prod_j Delta_{m_j}(v_j) (Smolyak 1963; Gerstner &
+    Griebel 1998), accumulated one coordinate at a time by total level.  A
+    dense grid (A = 0) is the product prod_j g_L(v_j), at n d floor(L/2)
+    cosines; a Smolyak grid costs n d (2^A - 1) cosines and O(d A^2)
+    products per row.
     """
-    kind, level = structure
-    if kind == "dense":
-        return np.prod(_cos_sum_1d(gauss_hermite(level), V), axis=1)
-    # level 0 is the one-point rule at the origin, so g_1 = 1
-    g = np.stack([np.ones_like(V)] + [_cos_sum_1d(_level_rule(m), V)
-                                      for m in range(1, level + 1)], axis=2)
-    delta = g[:, :, 1:] - g[:, :, :-1]
-    # T[:, r] sums prod_j Delta_{m_j}(v_j) over the coordinates seen so far,
-    # for the multi-indices of total level exactly r
-    T = np.zeros((V.shape[0], level + 1))
-    T[:, 0] = 1.0
-    for j in range(V.shape[1]):
-        prev = T.copy()
-        for m in range(1, level + 1):
-            T[:, m:] += prev[:, :level + 1 - m] * delta[:, j, m - 1:m]
-    return T.sum(axis=1)
-
-
-def _level_multi_indices(d: int, A: int):
-    """All m in N^d with sum(m) <= A, lexicographic."""
-
-    def rec(prefix, remaining, dims_left):
-        if dims_left == 0:
-            yield tuple(prefix)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + [v], remaining - v, dims_left - 1)
-
-    yield from rec([], A, d)
-
-
-def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
-    """Smolyak sparse grid up to total level A, by the combination technique.
-
-    Level m in one dimension is the 2^m-point rule (level 0 the origin).
-    The grid is the sum of the tensor blocks rule(l_1) x ... x rule(l_d)
-    with A - d < |l| <= A, block l weighted by (-1)^(A - |l|) C(d - 1,
-    A - |l|) (Gerstner & Griebel 1998).  Each point lies in exactly one
-    block, so nothing is merged and nothing cancels: the grid keeps every
-    point of the rule, and in one dimension it is the 2^A-point Gauss rule.
-    The blocks are built one coordinate at a time, grouped by total level,
-    and points come in lexicographic order.  Point count obeys
-    D <= 3^A * C(d + A, A).
-    """
-    if A < 0 or d < 1:
-        raise ValueError("A must be >= 0 and d positive")
-    if 2**A > 200:
-        raise ValueError(f"level A = {A} needs a 2^A-point rule beyond the 200-node bound")
-    rules = [_level_rule(m) for m in range(A + 1)]
-    lowest = max(0, A - d + 1)
-    # counts[r]: points of total level r over the coordinates seen so far
-    counts = [1] + [0] * A
-    for _ in range(d):
-        counts = [sum(counts[r - m] * rules[m].point_count for m in range(r + 1))
-                  for r in range(A + 1)]
-    total = sum(counts[lowest:])
-    if total > cap:
-        raise GridSizeError(f"sparse grid would need {total} points (cap {cap})",
-                            requested=total, cap=cap)
-    # the same recursion on the points and weights themselves
-    levels = [(np.zeros((1, 0)), np.ones(1))] + [(np.zeros((0, 0)), np.zeros(0))] * A
-    for _ in range(d):
-        extended = []
-        for r in range(A + 1):
-            parts = [_append_coordinate(*levels[r - m], rules[m]) for m in range(r + 1)]
-            extended.append((np.concatenate([p for p, _ in parts]),
-                             np.concatenate([w for _, w in parts])))
-        levels = extended
-    points = np.concatenate([levels[r][0] for r in range(lowest, A + 1)])
-    weights = np.concatenate([(-1) ** (A - r) * math.comb(d - 1, A - r) * levels[r][1]
-                              for r in range(lowest, A + 1)])
-    order = np.lexsort(points.T[::-1])
-    if points.shape[0] > (3**A) * math.comb(d + A, A):
-        raise AssertionError("sparse grid exceeded its theoretical count bound")
-    g = GridQuadrature(points[order], weights[order], provenance=f"sparse(A={A}, d={d})")
-    object.__setattr__(g, "structure", ("sparse", A))
-    return g
+    rules, _ = _family(structure)
+    g = [_cos_sum_1d(rule, V) for rule in rules]
+    delta = g[:1] + [g[m] - g[m - 1] for m in range(1, len(g))]
+    T = _by_level([np.ones(len(V))] + [np.zeros(len(V))] * (len(g) - 1), V.shape[1],
+                  lambda t, m, j: t * delta[m][:, j], sum)
+    # the levels summed as rows of one array, in numpy's reduction order
+    return np.stack(T, axis=1).sum(axis=1)
 
 
 def subsample_grid(g: GridQuadrature, D: int, seed: int) -> GridQuadrature:
@@ -317,7 +291,9 @@ def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP):
             requested=n_constraints,
             cap=cap,
         )
-    return list(_level_multi_indices(d, R))
+    levels = _by_level([[()]] + [[]] * R, d, lambda rs, m, j: [r + (m,) for r in rs],
+                       lambda parts: [r for part in parts for r in part])
+    return sorted(r for level in levels for r in level)
 
 
 def monomial_matrix(points: np.ndarray, indices) -> np.ndarray:
@@ -367,16 +343,29 @@ def grid_to_json(g: GridQuadrature) -> dict:
     }
 
 
+def _point_rows(value) -> np.ndarray:
+    points = np.array(value, dtype=float)
+    if points.size and points.ndim != 2:
+        raise ValueError(f"expected a list of point rows, got shape {points.shape}")
+    return points
+
+
 def grid_from_json(payload: dict) -> GridQuadrature:
-    points = np.array(payload["points"], dtype=float)
-    if points.size == 0:
-        points = points.reshape(0, int(payload["d"]))
-    return GridQuadrature(
-        points,
-        np.array(payload["weights"], dtype=float),
-        provenance=str(payload.get("provenance", "")),
-        normalized=abs(sum(payload["weights"]) - 1.0) <= 1e-10,
-    )
+    """The grid of a ``grid_to_json`` payload.  A missing or ill-typed field,
+    or a ``d``, ``D`` or ``weights`` unlike the points, raises ConfigError."""
+    field = functools.partial(config_field, payload, where="grid file")
+    points = field("points", _point_rows)
+    d, D = field("d", operator.index), field("D", operator.index)
+    if points.size == 0 and d >= 0:
+        points = points.reshape(0, d)
+    weights = field("weights", lambda w: np.array(w, dtype=float))
+    for key, value, size in (("d", d, points.shape[-1]), ("D", D, points.shape[0]),
+                             ("weights", weights.shape, (points.shape[0],))):
+        if value != size:
+            raise ConfigError(f"grid file: field {key!r} gives {value}, but the "
+                              f"points give {size}", key=key)
+    return GridQuadrature(points, weights, provenance=str(payload.get("provenance", "")),
+                          normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10)
 
 
 def save_grid(g: GridQuadrature, path: str) -> None:

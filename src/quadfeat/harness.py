@@ -29,6 +29,7 @@ from .featuremaps import (
 )
 from .grids import dense_grid, sparse_grid, subsample_dense_grid
 from .kernels import AnovaKernel, GaussianKernel, kernel_values, load_anova
+from .quad1d import MAX_RULE_SIZE
 from .solvers import bisect_lambda, construct_poly_exact, reweight
 
 CLI_METHODS = tuple(METHOD_TAGS)
@@ -277,12 +278,17 @@ class SweepConfig:
         for m in cfg.methods:
             if m not in CLI_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")
-        for key, low in (("d", 1), ("D", 1), ("n_eval", 1), ("pairs", 1), ("M", 0)):
+        for key, low in (("d", 1), ("D", 1), ("n_eval", 1), ("pairs", 1), ("M", 0),
+                         ("seeds", 0), ("L", 1), ("level", 0), ("degree", 0)):
             if min(np.atleast_1d(getattr(cfg, key))) < low:
                 raise ConfigError(f"sweep config key {key!r} must be >= {low}", key=key)
         for key, ok, rule in (
                 ("gamma", 0 < cfg.gamma < math.inf, "positive and finite"),
                 ("M", all(map(math.isfinite, cfg.M)), "finite"),
+                ("L", cfg.L <= MAX_RULE_SIZE, f"<= {MAX_RULE_SIZE}"),
+                ("level", cfg.level <= math.log2(MAX_RULE_SIZE),
+                 f"<= log2({MAX_RULE_SIZE}), so that 2^level <= {MAX_RULE_SIZE}"),
+                ("degree", cfg.degree % 2 == 0, "even"),
                 ("lam", cfg.lam is None or 0 <= cfg.lam < math.inf, "finite and >= 0")):
             if not ok:
                 raise ConfigError(f"sweep config key {key!r} must be {rule}", key=key)

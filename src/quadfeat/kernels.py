@@ -8,6 +8,7 @@ a hypergraph of index subsets.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -16,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import config_field
 
 
 @dataclass(frozen=True)
@@ -122,18 +123,8 @@ def load_anova(path: str) -> AnovaKernel:
     ConfigError with the field's name as its ``key``.
     """
     with open(path) as fh:
-        raw = json.load(fh)
-
-    def field(key, make):
-        if not isinstance(raw, dict) or key not in raw:
-            raise ConfigError(f"{path}: missing ANOVA structure field {key!r}",
-                              key=key)
-        try:
-            return make(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: ANOVA structure field {key!r}: {exc}",
-                              key=key) from None
-
+        field = functools.partial(config_field, json.load(fh),
+                                  where=f"{path}: ANOVA structure")
     d = field("d", _dimension)
     base = field("gamma", lambda g: GaussianKernel(_number(g)))
     return field("subsets", lambda subsets: AnovaKernel(

@@ -180,6 +180,10 @@ def _no_builds(*args, **kwargs):
     (["--n-eval", "0"], "n_eval"), (["--d", "0"], "d"), (["--d", "2.5"], "d"),
     (["--seed", "0,a"], "seeds"), (["--method", "rff,nystrom"], "methods"),
     (["--lambda", "inf"], "lam"), (["--pairs", "0"], "pairs"),
+    (["--method", "dense", "--L", "0"], "L"), (["--method", "dense", "--L", "300"], "L"),
+    (["--method", "sparse", "--level", "-1"], "level"),
+    (["--method", "sparse", "--level", "9"], "level"),
+    (["--method", "poly-exact", "--degree", "3"], "degree"), (["--seed", "-1"], "seeds"),
 ])
 @pytest.mark.parametrize("command", ["build", "eval", "sweep", "embed"])
 def test_every_command_names_the_bad_key(command, flags, key, data_csv,

@@ -20,14 +20,17 @@ from quadfeat.featuremaps import (
 from quadfeat.grids import (
     GridQuadrature,
     _cos_from_half,
+    _cos_sum_1d,
     dense_grid,
     grid_from_json,
     grid_to_json,
     sparse_grid,
+    structured_cos_sum,
     subsample_grid,
 )
 from quadfeat.harness import displacement_sample, sample_pairs, synthetic_mixture
 from quadfeat.kernels import AnovaKernel, GaussianKernel
+from quadfeat.quad1d import gauss_hermite
 from quadfeat.solvers import bisect_lambda, reweight
 
 TOL = 1e-12
@@ -138,6 +141,38 @@ class TestFactoredMatchesMaterialized:
         summed = sum(materialized(sub).approx(U[:, np.array(S) - 1])
                      for S, sub in fm.sub_maps)
         assert np.abs(fm.approx(U) - summed).max() <= TOL
+
+
+def reference_structured_cos_sum(structure: tuple, V: np.ndarray) -> np.ndarray:
+    """The factored estimate in array form: np.prod of the one-dimensional
+    sums for a dense grid; for a Smolyak grid the products of Delta_m =
+    g_{2^m} - g_{2^(m-1)} accumulated coordinate by coordinate on one
+    (n, A + 1) array whose column r holds total level r."""
+    kind, level = structure
+    if kind == "dense":
+        return np.prod(_cos_sum_1d(gauss_hermite(level), V), axis=1)
+    g = np.stack([np.ones_like(V)] + [_cos_sum_1d(gauss_hermite(2**m), V)
+                                      for m in range(1, level + 1)], axis=2)
+    delta = g[:, :, 1:] - g[:, :, :-1]
+    T = np.zeros((V.shape[0], level + 1))
+    T[:, 0] = 1.0
+    for j in range(V.shape[1]):
+        prev = T.copy()
+        for m in range(1, level + 1):
+            T[:, m:] += prev[:, :level + 1 - m] * delta[:, j, m - 1:m]
+    return T.sum(axis=1)
+
+
+class TestFactoredMatchesArrayForm:
+    @pytest.mark.parametrize("structure", [("dense", L) for L in range(1, 9)]
+                             + [("sparse", A) for A in range(8)],
+                             ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_bitwise(self, structure):
+        rng = np.random.default_rng(structure[1])
+        for d in range(1, 5):
+            V = 3.0 * rng.standard_normal((200, d))
+            np.testing.assert_array_equal(structured_cos_sum(structure, V),
+                                          reference_structured_cos_sum(structure, V))
 
 
 class TestGenericBlocks:

@@ -1,11 +1,12 @@
 """Tests for feature maps, baselines, and embeddings."""
+import json
 import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from quadfeat.errors import EmbeddingUnsupportedError
+from quadfeat.errors import ConfigError, EmbeddingUnsupportedError
 from quadfeat.featuremaps import (
     FeatureMap,
     _primes,
@@ -14,6 +15,7 @@ from quadfeat.featuremaps import (
     feature_map_from_json,
     feature_map_to_json,
     halton_points,
+    load_feature_map,
     inv_norm_cdf,
     qmc_halton,
     radical_inverse,
@@ -253,6 +255,13 @@ class TestApproxAgainstCosFormula:
         bound = 8 * np.finfo(float).eps * np.abs(fm.grid.weights).sum()
         assert np.abs(fm.approx(U) - expected).max() <= bound
 
+    def test_empty_map_estimates_zero_at_every_shape(self):
+        fm = EMBEDDABLE["empty"]()
+        np.testing.assert_array_equal(fm.approx(np.ones((4, 3))), np.zeros(4))
+        value = fm.approx(np.ones(3))
+        assert isinstance(value, float) and value == 0.0
+        assert fm.approx(np.ones((0, 3))).shape == (0,)
+
 
 class TestEmbedBatch:
     @pytest.mark.parametrize("name", sorted(EMBEDDABLE))
@@ -424,6 +433,50 @@ def test_feature_map_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(back.grid.points, fm.grid.points)
     u = np.array([0.1, -0.2, 0.3])
     assert back.approx(u) == fm.approx(u)
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+_MAP_PAYLOAD = feature_map_to_json(rff(3, 5, 0.5, seed=0))
+
+
+@pytest.mark.parametrize("payload,key", [
+    (_without(_MAP_PAYLOAD, "points"), "points"),
+    (_without(_MAP_PAYLOAD, "weights"), "weights"),
+    (_without(_MAP_PAYLOAD, "d"), "d"),
+    (_without(_MAP_PAYLOAD, "D"), "D"),
+    (_without(_MAP_PAYLOAD, "method"), "method"),
+    (_without(_MAP_PAYLOAD, "gamma"), "gamma"),
+    ({**_MAP_PAYLOAD, "gamma": "x"}, "gamma"),
+    ({**_MAP_PAYLOAD, "gamma": -1.0}, "gamma"),
+    ({**_MAP_PAYLOAD, "method": "poly-exact"}, "method"),
+    ({**_MAP_PAYLOAD, "points": [[0.0, 1.0, 2.0], [1.0]] + _MAP_PAYLOAD["points"][2:]},
+     "points"),
+    ({**_MAP_PAYLOAD, "points": [0.5] * 15}, "points"),
+    ({**_MAP_PAYLOAD, "points": [["x", 0.0, 0.0]] + _MAP_PAYLOAD["points"][1:]},
+     "points"),
+    ({**_MAP_PAYLOAD, "d": 2}, "d"),
+    ({**_MAP_PAYLOAD, "d": "3"}, "d"),
+    ({**_MAP_PAYLOAD, "D": 4}, "D"),
+    ({**_MAP_PAYLOAD, "weights": _MAP_PAYLOAD["weights"][:4]}, "weights"),
+    ([], "points"),
+])
+def test_malformed_map_file_names_the_field(payload, key, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as exc:
+        load_feature_map(str(path))
+    assert exc.value.key == key
+
+
+def test_empty_map_file_needs_only_its_dimension():
+    payload = {**_MAP_PAYLOAD, "points": [], "weights": [], "D": 0}
+    assert feature_map_from_json(payload).grid.points.shape == (0, 3)
+    with pytest.raises(ConfigError) as exc:
+        feature_map_from_json({**payload, "d": -1})
+    assert exc.value.key == "d"
 
 
 def test_unnormalized_reweighted_map_round_trips():

@@ -174,6 +174,13 @@ class TestSparseGrid:
         assert exactness_residual(sparse_grid(A, d), 2 * A + 1) <= 1e-9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_moment_multi_indices_are_the_filtered_product(d):
+    for R in range(7):
+        assert moment_multi_indices(d, R) == [
+            r for r in itertools.product(range(R + 1), repeat=d) if sum(r) <= R]
+
+
 class TestExactnessResidual:
     def test_dense_degree_three(self):
         assert exactness_residual(dense_grid(2, 3), 3) <= 1e-10

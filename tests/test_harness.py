@@ -210,6 +210,8 @@ class TestSweep:
         ("gamma", math.nan), ("gamma", math.inf), ("M", [math.nan]),
         ("M", [1.0, math.inf]), ("lam", -0.1), ("lam", math.nan),
         ("lam", math.inf), ("gamma", "x"), ("M", ["y"]), ("lam", "abc"),
+        ("L", 0), ("L", 201), ("level", -1), ("level", 8), ("degree", -2),
+        ("degree", 3), ("seeds", [0, -1]),
     ])
     def test_out_of_range_value_is_named(self, key, value, monkeypatch):
         from quadfeat import harness
@@ -223,6 +225,13 @@ class TestSweep:
         with pytest.raises(ConfigError) as exc:
             sweep(config)
         assert exc.value.key == key
+
+    def test_rule_options_accepted_up_to_their_bounds(self):
+        # the 200-node rule, the 2^7-point rule of level 7, degree 0
+        cfg = SweepConfig.from_dict({"methods": ["rff"], "d": 2, "gamma": 0.5,
+                                     "D": [8], "M": [1.0], "seeds": [0],
+                                     "L": 200, "level": 7, "degree": 0})
+        assert (cfg.L, cfg.level, cfg.degree) == (200, 7, 0)
 
     def test_integral_floats_accepted(self):
         cfg = SweepConfig.from_dict({"methods": ["rff"], "d": 2.0,

@@ -129,6 +129,42 @@ class TestNnls:
         assert sol.residual_norm == pytest.approx(
             np.linalg.norm(M @ sol.a - b), abs=1e-10)
 
+    def test_dependent_column_is_passed_over(self, monkeypatch):
+        # the last column is a positive combination of the first two plus
+        # noise of size 1e-9, so each of the three lies numerically in the
+        # span of the other two: once two are passive the third cannot
+        # enter, and passing it over gives up an objective of the order of
+        # the noise
+        refused = []
+        add = solvers._PassiveSet.add
+
+        def recording_add(self, j):
+            ok = add(self, j)
+            if not ok:
+                refused.append(j)
+            return ok
+
+        monkeypatch.setattr(solvers._PassiveSet, "add", recording_add)
+        passed_over = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            M = rng.standard_normal((8, 5))
+            M[:, 4] = M[:, :2] @ rng.uniform(0.5, 1.5, 2) \
+                + 1e-9 * rng.standard_normal(8)
+            b = rng.standard_normal(8)
+            refused.clear()
+            sol = nnls(M, b)
+            if not refused:
+                continue
+            passed_over += 1
+            assert set(refused) <= {0, 1, 4}
+            assert sol.residual_norm**2 == pytest.approx(
+                brute_force_nnls_objective(M, b), abs=1e-8)
+            on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+            assert on <= 1e-8
+            assert off <= 1e-8
+        assert passed_over >= 3
+
 
 class TestConstructPolyExact:
     def test_degree_zero_is_weight_normalization(self):
