@@ -22,10 +22,12 @@ a few eps times sum_i |a_i|.  The explicit real embedding
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 Feature counts are always quoted as D quadrature points (the embedding has
 2D real coordinates).  Every embedding is written once, into its final
-columns: the phases go straight into the cosine half of the output, the
-sines are taken from them into the other half (np.sin and np.cos, so
-embeddings match the formula above bitwise), and both halves are scaled
-in place, so the peak allocation is the (n, 2D) output itself.  Callers may
+columns: the half-phases w_i'x / 2 go straight into the sine half of the
+output, both halves are taken from their one tangent t by
+cos x = 2 / (1 + t^2) - 1 and sin x = 2t / (1 + t^2) (``_cos_from_half``
+again), and both are scaled in place, so the peak allocation is the
+(n, 2D) output itself.  Each feature lies within 4 eps sqrt(a_i)
+(absolute) of the np.cos/np.sin formula above.  Callers may
 pass that output (``out=``), for instance a column slice of a wider array
 or an ``np.memmap``; an ANOVA map hands each sub-map its slice of one
 composite output.
@@ -74,12 +76,12 @@ class _MapShell:
         if width != self.d:
             raise ValueError(f"expected dimension {self.d}, got {width}")
 
-    def _displacement_rows(self, u) -> tuple[np.ndarray, bool]:
-        """``u`` as an (n, d) float array, and whether it was one (d,)
-        displacement; other ranks and widths are refused."""
+    def _rows(self, u, what: str = "displacements") -> tuple[np.ndarray, bool]:
+        """``u`` as an (n, d) float array, and whether it was one (d,) row;
+        other ranks and widths are refused."""
         u = np.asarray(u, dtype=float)
         if u.ndim not in (1, 2):
-            raise ValueError(f"displacements must have shape ({self.d},) or "
+            raise ValueError(f"{what} must have shape ({self.d},) or "
                              f"(n, {self.d}), got shape {u.shape}")
         self._check_width(u.shape[-1])
         return np.atleast_2d(u), u.ndim == 1
@@ -140,7 +142,7 @@ class FeatureMap(_MapShell):
         Factored from ``grid.structure`` when the grid has one, otherwise
         summed over the points.
         """
-        U, single = self._displacement_rows(u)
+        U, single = self._rows(u)
         if self.grid.structure is not None:
             out = structured_cos_sum(self.grid.structure,
                                      U * math.sqrt(2.0 * self.gamma))
@@ -171,18 +173,17 @@ class FeatureMap(_MapShell):
         The features are written into ``out`` when it is given (a float64
         array of shape (n, 2D); strided views and memmaps are fine), else
         into a new array, and that array is returned.  Inputs are checked
-        before anything is written.
+        before anything is written.  Each feature lies within 4 eps sqrt(a_i)
+        of the np.cos/np.sin formula.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        self._check_width(X.shape[1])
+        X, _ = self._rows(X, "inputs")
         s = self._sqrt_weights
         out = _embedding_output(out, (X.shape[0], 2 * self.count))
-        # np.cos and np.sin, not the estimator's tangent identity: embeddings
-        # are pinned bitwise to the cos/sin formula
+        # the half-phases w_i'x / 2 go into the sine half, and both halves
+        # come from their one tangent
         cos, sin = out[:, :self.count], out[:, self.count:]
-        np.matmul(X, self.frequencies.T, out=cos)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
+        np.matmul(X, 0.5 * self.frequencies.T, out=sin)
+        _cos_from_half(sin, cos)
         cos *= s
         sin *= s
         return out
@@ -286,7 +287,8 @@ def embed_grid_fast(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     Each data column is multiplied by each distinct node value once; the
     phases w_i'x are then assembled by indexed sums.  It agrees with
     ``fm.embed_batch(X)`` to rounding, and is slower on every map measured.
-    It keeps np.cos and np.sin, as ``embed_batch`` does.
+    It keeps np.cos and np.sin, so it is also an oracle independent of
+    ``embed_batch``'s half-angle identities.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != fm.d:
@@ -320,7 +322,7 @@ class AnovaFeatureMap(_MapShell):
     def approx(self, u: np.ndarray) -> float | np.ndarray:
         """The sum of the sub-map estimates at displacement(s) u, shape (d,)
         or (n, d)."""
-        U, single = self._displacement_rows(u)
+        U, single = self._rows(u)
         total = np.zeros(U.shape[0])
         for S, fm in self.sub_maps:
             total += fm.approx(U[:, np.array(S) - 1])
@@ -330,8 +332,7 @@ class AnovaFeatureMap(_MapShell):
                     out: np.ndarray | None = None) -> np.ndarray:
         """The sub-map embeddings side by side, each written by its sub-map
         into its own columns of one (n, 2 * count) output."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        self._check_width(X.shape[1])
+        X, _ = self._rows(X, "inputs")
         for _, fm in self.sub_maps:
             fm._sqrt_weights  # a signed sub-map refuses before anything is written
         out = _embedding_output(out, (X.shape[0], 2 * self.count))

@@ -27,9 +27,10 @@ merging duplicates; a lattice variant draws from the tensor-product law,
 so grids far beyond the materialization cap can still be subsampled.
 
 Every cosine of the kernel estimate, here and on the generic path in
-``featuremaps``, comes from ``_cos_from_half`` by the half-angle identity
-cos x = 2 / (1 + tan^2(x/2)) - 1: numpy's float64 tangent is vectorized on
-AVX512 CPUs where its cosine is not.
+``featuremaps``, and both halves of every embedding come from
+``_cos_from_half`` by the half-angle identities cos x = 2 / (1 + t^2) - 1
+and sin x = 2t / (1 + t^2), t = tan(x/2): numpy's float64 tangent is
+vectorized on AVX512 CPUs where its cosine and sine are not.
 """
 from __future__ import annotations
 
@@ -187,22 +188,28 @@ def sparse_grid(A: int, d: int, cap: int = DEFAULT_POINT_CAP) -> GridQuadrature:
     return _structured_grid(("sparse", A), d, cap, f"sparse(A={A}, d={d})")
 
 
-def _cos_from_half(h: np.ndarray) -> np.ndarray:
-    """Overwrite the half-angles h with cos(2h) = 2 / (1 + tan^2 h) - 1 and
-    return h.
+def _cos_from_half(h: np.ndarray, cos: np.ndarray | None = None) -> np.ndarray:
+    """cos(2h) = 2 / (1 + tan^2 h) - 1 of the half-angles h, written over h
+    and returned; with ``cos`` (h's shape, not overlapping it), the cosines go
+    there and h is overwritten by sin(2h) = 2 tan h / (1 + tan^2 h), from the
+    same tangent.  The cosines are bitwise the same either way.
 
     numpy (2.x, x86-64) runs float64 ``tan`` in a SIMD loop on AVX512 CPUs
-    but ``cos`` in scalar libm, so there these five in-place passes are
-    several times cheaper than ``np.cos(2 * h)``.  The result is within a
-    few eps (absolute) of it: |tan h| of a double stays below about 1e16,
-    so tan^2 h cannot overflow, and near the poles 2 / (1 + tan^2 h) is tiny.
+    but ``cos`` and ``sin`` in scalar libm, so there these in-place passes
+    are several times cheaper than ``np.cos(2 * h)`` (and ``np.sin``).  Both
+    stay within a few eps (absolute) of them: |tan h| of a double stays
+    below about 1e16, so tan^2 h cannot overflow, and near the poles
+    2 / (1 + tan^2 h) is tiny.
     """
-    np.tan(h, out=h)
-    np.square(h, out=h)
-    h += 1.0
-    np.divide(2.0, h, out=h)
-    h -= 1.0
-    return h
+    t = np.tan(h, out=h)
+    c = h if cos is None else cos
+    np.square(t, out=c)
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    if cos is not None:
+        t *= c
+    c -= 1.0
+    return c
 
 
 def _cos_sum_1d(rule, V: np.ndarray) -> np.ndarray:
@@ -343,29 +350,41 @@ def grid_to_json(g: GridQuadrature) -> dict:
     }
 
 
+def _finite_array(value) -> np.ndarray:
+    array = np.array(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite")
+    return array
+
+
 def _point_rows(value) -> np.ndarray:
-    points = np.array(value, dtype=float)
+    points = _finite_array(value)
     if points.size and points.ndim != 2:
         raise ValueError(f"expected a list of point rows, got shape {points.shape}")
     return points
 
 
 def grid_from_json(payload: dict) -> GridQuadrature:
-    """The grid of a ``grid_to_json`` payload.  A missing or ill-typed field,
-    or a ``d``, ``D`` or ``weights`` unlike the points, raises ConfigError."""
+    """The grid of a ``grid_to_json`` payload.  A missing, ill-typed or
+    non-finite field, a repeated point, or a ``d``, ``D`` or ``weights``
+    unlike the points raises ConfigError."""
     field = functools.partial(config_field, payload, where="grid file")
     points = field("points", _point_rows)
     d, D = field("d", operator.index), field("D", operator.index)
     if points.size == 0 and d >= 0:
         points = points.reshape(0, d)
-    weights = field("weights", lambda w: np.array(w, dtype=float))
+    weights = field("weights", _finite_array)
     for key, value, size in (("d", d, points.shape[-1]), ("D", D, points.shape[0]),
                              ("weights", weights.shape, (points.shape[0],))):
         if value != size:
             raise ConfigError(f"grid file: field {key!r} gives {value}, but the "
                               f"points give {size}", key=key)
-    return GridQuadrature(points, weights, provenance=str(payload.get("provenance", "")),
-                          normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10)
+    try:
+        return GridQuadrature(points, weights,
+                              provenance=str(payload.get("provenance", "")),
+                              normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10)
+    except ValueError as exc:  # all the grid checks beyond the above: repeated rows
+        raise ConfigError(f"grid file: field 'points': {exc}", key="points") from None
 
 
 def save_grid(g: GridQuadrature, path: str) -> None:

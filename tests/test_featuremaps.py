@@ -1,10 +1,13 @@
 """Tests for feature maps, baselines, and embeddings."""
 import json
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfeat.errors import ConfigError, EmbeddingUnsupportedError
 from quadfeat.featuremaps import (
@@ -22,7 +25,13 @@ from quadfeat.featuremaps import (
     rff,
     subsampled_feature_map,
 )
-from quadfeat.grids import GridQuadrature, dense_grid, sparse_grid, subsample_grid
+from quadfeat.grids import (
+    GridQuadrature,
+    _cos_from_half,
+    dense_grid,
+    sparse_grid,
+    subsample_grid,
+)
 from quadfeat.kernels import AnovaKernel, GaussianKernel, eval_anova
 from quadfeat.solvers import construct_poly_exact
 
@@ -207,6 +216,13 @@ class TestEmbed:
         assert np.isfinite(fm.approx(np.zeros(2)))
 
 
+def _ulps_from(x: float, ulps: int) -> float:
+    """x moved ``ulps`` representable steps."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
 def _reweighted_map() -> FeatureMap:
     from quadfeat.grids import subsample_dense_grid
     from quadfeat.solvers import reweight
@@ -217,10 +233,23 @@ def _reweighted_map() -> FeatureMap:
     return FeatureMap(g, "reweighted", 0.5)
 
 
+EPS = np.finfo(float).eps
+
+
 def _hstack_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The np.cos/np.sin formula of the embedding."""
     P = X @ fm.frequencies.T
     s = np.sqrt(fm.grid.weights)
     return np.hstack([np.cos(P) * s, np.sin(P) * s])
+
+
+def _tangent_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The same features from t = tan(w'x / 2): the estimator's cosine
+    2 / (1 + t^2) - 1 (``_cos_from_half``) and the sine 2t / (1 + t^2)."""
+    H = X @ (0.5 * fm.frequencies.T)
+    t = np.tan(H)
+    s = np.sqrt(fm.grid.weights)
+    return np.hstack([_cos_from_half(H) * s, t * (2.0 / (t * t + 1.0)) * s])
 
 
 def _anova_map():
@@ -266,16 +295,39 @@ class TestApproxAgainstCosFormula:
 class TestEmbedBatch:
     @pytest.mark.parametrize("name", sorted(EMBEDDABLE))
     def test_bitwise_equal_to_hstack_formula(self, name):
+        # the tangent formula; the np.cos/np.sin one holds to 4 eps (below)
         fm = EMBEDDABLE[name]()
         X = np.random.default_rng(17).standard_normal((300, 3))
         Z = fm.embed_batch(X)
         assert Z.shape == (300, 2 * fm.count)
-        np.testing.assert_array_equal(Z, _hstack_embedding(fm, X))
+        np.testing.assert_array_equal(Z, _tangent_embedding(fm, X))
+
+    @pytest.mark.parametrize("name", sorted(EMBEDDABLE))
+    @settings(max_examples=40, deadline=None)
+    @given(exponent=st.integers(-3, 12), seed=st.integers(0, 2**32 - 1))
+    def test_within_four_eps_of_cos_sin_formula(self, name, exponent, seed):
+        fm = EMBEDDABLE[name]()
+        X = np.random.default_rng(seed).uniform(-1.0, 1.0, (50, 3)) * 10.0**exponent
+        gap = np.abs(fm.embed_batch(X) - _hstack_embedding(fm, X))
+        bound = 4 * EPS * np.tile(np.sqrt(fm.grid.weights), 2)
+        assert (gap <= bound).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-200_000, 200_000), st.integers(-3, 3)),
+                    min_size=1, max_size=64))
+    def test_phases_at_the_poles_and_zeros(self, cases):
+        # one unit frequency, so the inputs are the phases: k pi / 2 moved a
+        # few ulps, where tan(x / 2) has a pole (odd k pi) or sin or cos a zero
+        fm = FeatureMap(GridQuadrature(np.ones((1, 1)), np.ones(1)), "rff", 0.5)
+        x = np.array([_ulps_from(k * math.pi / 2, ulps) for k, ulps in cases])
+        Z = fm.embed_batch(x[:, None])
+        assert np.abs(Z[:, 0] - np.cos(x)).max() <= 4 * EPS
+        assert np.abs(Z[:, 1] - np.sin(x)).max() <= 4 * EPS
 
     def test_anova_bitwise_equal_to_hstack_of_sub_maps(self):
         composite = _anova_map()
         X = np.random.default_rng(18).standard_normal((200, 4))
-        expected = np.hstack([_hstack_embedding(fm, X[:, np.array(S) - 1])
+        expected = np.hstack([fm.embed_batch(X[:, np.array(S) - 1])
                               for S, fm in composite.sub_maps])
         np.testing.assert_array_equal(composite.embed_batch(X), expected)
 
@@ -323,6 +375,17 @@ class TestEmbedBatch:
         fm = rff(3, 10, 0.5, seed=0)
         with pytest.raises(ValueError, match="expected dimension 3, got 4"):
             fm.embed_batch(np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("make", [lambda: rff(3, 10, 0.5, seed=0), _anova_map],
+                             ids=["plain", "anova"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    def test_other_ranks_are_refused(self, make, with_out):
+        fm = make()
+        out = np.full((2, 2 * fm.count), 3.0) if with_out else None
+        for shape in [(2, 3, fm.d), ()]:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                fm.embed_batch(np.zeros(shape), out=out)
+        assert out is None or (out == 3.0).all()
 
 
 class TestEmbedGridFast:
@@ -462,6 +525,14 @@ _MAP_PAYLOAD = feature_map_to_json(rff(3, 5, 0.5, seed=0))
     ({**_MAP_PAYLOAD, "D": 4}, "D"),
     ({**_MAP_PAYLOAD, "weights": _MAP_PAYLOAD["weights"][:4]}, "weights"),
     ([], "points"),
+    ({**_MAP_PAYLOAD, "points": [[math.nan, 0.0, 0.0]] + _MAP_PAYLOAD["points"][1:]},
+     "points"),
+    ({**_MAP_PAYLOAD, "points": [[0.0, -math.inf, 0.0]] + _MAP_PAYLOAD["points"][1:]},
+     "points"),
+    ({**_MAP_PAYLOAD, "weights": [math.nan] + _MAP_PAYLOAD["weights"][1:]}, "weights"),
+    ({**_MAP_PAYLOAD, "weights": [math.inf] + _MAP_PAYLOAD["weights"][1:]}, "weights"),
+    ({**_MAP_PAYLOAD, "points": _MAP_PAYLOAD["points"][:1] + _MAP_PAYLOAD["points"][:4]},
+     "points"),
 ])
 def test_malformed_map_file_names_the_field(payload, key, tmp_path):
     path = tmp_path / "map.json"
