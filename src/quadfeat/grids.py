@@ -99,10 +99,22 @@ class GridQuadrature:
         return bool(self.count == 0 or self.weights.min() >= 0.0)
 
 
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether each row is lexicographically greater than the one before."""
+    prev, nxt = rows[:-1], rows[1:]
+    # the first differing column, or column 0 of two equal rows
+    first = np.argmax(prev != nxt, axis=1)[:, None]
+    return bool(np.take_along_axis(nxt > prev, first, axis=1).all())
+
+
 def _check_unique_rows(points: np.ndarray) -> None:
     if points.shape[0] < 2:
         return
     rounded = np.round(points, MERGE_DECIMALS)
+    # dense and Smolyak grids arrive sorted, and sorted distinct rows are
+    # accepted in one pass; anything else is sorted first
+    if _strictly_increasing(rounded):
+        return
     order = np.lexsort(rounded.T[::-1])
     srt = rounded[order]
     if (np.abs(np.diff(srt, axis=0)).max(axis=1) == 0.0).any():
@@ -303,21 +315,51 @@ def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP):
     return sorted(r for level in levels for r in level)
 
 
+def _max_degree(indices) -> int:
+    return max((max(r) for r in indices), default=0)
+
+
+def _product_matrix(table: np.ndarray, indices) -> np.ndarray:
+    """Rows prod_l table[l, r_l] for each exponent vector r, columns the
+    points: ``table`` is (d, degree + 1, D), one row of values per coordinate
+    and per-coordinate degree, and factors of degree 0 are taken as 1."""
+    out = np.empty((len(indices), table.shape[2]))
+    for row, r in enumerate(indices):
+        acc = out[row]
+        acc[:] = 1.0
+        for l, rl in enumerate(r):
+            if rl:
+                acc *= table[l, rl]
+    return out
+
+
 def monomial_matrix(points: np.ndarray, indices) -> np.ndarray:
     """Rows prod_l (w_i)_l^{r_l} for each exponent vector r, columns the points."""
     D, d = points.shape
-    max_deg = max((max(r) for r in indices), default=0)
-    powers = np.ones((d, max_deg + 1, D))
-    for p in range(1, max_deg + 1):
+    powers = np.ones((d, _max_degree(indices) + 1, D))
+    for p in range(1, powers.shape[1]):
         powers[:, p] = powers[:, p - 1] * points.T
-    out = np.empty((len(indices), D))
-    for row, r in enumerate(indices):
-        acc = np.ones(D)
-        for l, rl in enumerate(r):
-            if rl:
-                acc = acc * powers[l, rl]
-        out[row] = acc
-    return out
+    return _product_matrix(powers, indices)
+
+
+def hermite_matrix(points: np.ndarray, indices) -> np.ndarray:
+    """Rows prod_l h_{r_l}((w_i)_l) for each exponent vector r, columns the
+    points, with h_k = He_k / sqrt(k!) the probabilists' Hermite polynomials
+    normalized to be orthonormal under N(0, 1) (Gautschi 2004).
+
+    h_0 = 1, h_1(x) = x and sqrt(k + 1) h_{k+1} = x h_k - sqrt(k) h_{k-1}.
+    Row r is monomial row r plus a combination of rows of lower total degree,
+    and the normal expectation of row r is 1 for r = 0 and 0 otherwise.
+    """
+    D, d = points.shape
+    table = np.ones((d, _max_degree(indices) + 1, D))
+    x = points.T
+    for k in range(1, table.shape[1]):
+        table[:, k] = x * table[:, k - 1]
+        if k > 1:
+            table[:, k] -= math.sqrt(k - 1) * table[:, k - 2]
+            table[:, k] /= math.sqrt(k)
+    return _product_matrix(table, indices)
 
 
 def moment_targets(indices) -> np.ndarray:

@@ -8,13 +8,19 @@ leaving it is removed by a rank-one downdate.  One outer step therefore
 costs O(nk + k^2) on top of the O(np) gradient, with k the passive-set
 size, and no p x p Gram matrix is ever formed.  Each passive solve is
 refined once against M_P so that update errors do not accumulate.  A
-column that is numerically dependent on the passive set is passed over
-for that step, as in Lawson & Hanson (1974, ch. 23).
+column that is numerically dependent on the passive set, or whose
+coefficient would enter non-positive even after the inverse is formed
+afresh, is passed over for that step, as in Lawson & Hanson (1974,
+ch. 23).
 
 On top of it sit
 
 * ``construct_poly_exact``: random spectral candidates reweighted to match
-  every normal moment of total degree <= R, and
+  every normal moment of total degree <= R.  The system is written in the
+  orthonormal Hermite basis (row r is prod_l He_{r_l}(w_l) / sqrt(r_l!),
+  right-hand side e_0), which has the exact solutions of the monomial
+  system but is far better conditioned, so Lawson-Hanson takes fewer
+  steps; the kept rule is checked against the monomial moments, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared kernel error over sampled pairs, with an optional l1 penalty,
   and ``bisect_lambda``, which picks the penalty for a target support
@@ -38,9 +44,9 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grids import (
     GridQuadrature,
+    exactness_residual,
+    hermite_matrix,
     moment_multi_indices,
-    moment_targets,
-    monomial_matrix,
 )
 from .kernels import AnovaKernel, GaussianKernel, kernel_values
 
@@ -114,6 +120,23 @@ class _PassiveSet:
         self.idx[k] = j
         self.k = k + 1
         return True
+
+    def enter(self, j: int) -> Optional[np.ndarray]:
+        """Add column j and return the unpenalized passive solve; None, and
+        the set unchanged, if j is dependent on the passive columns or its
+        coefficient is not positive.  In exact arithmetic a column entering
+        with a positive gradient gets a positive coefficient (Lawson & Hanson
+        1974, ch. 23), so a non-positive one first has the inverse, drifted
+        by earlier updates, formed afresh."""
+        if not self.add(j):
+            return None
+        z = self.solve(0.0)
+        if z[-1] <= 0.0 and self.reset(self.indices.copy()):
+            z = self.solve(0.0)
+        if z[-1] > 0.0:
+            return z
+        self.remove(np.array([self.k - 1]))
+        return None
 
     def remove(self, positions: np.ndarray) -> None:
         """Drop the passive columns at ``positions`` by rank-one downdates."""
@@ -210,25 +233,22 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
                 f"NNLS did not converge within {max_iter} iterations",
                 iterations=outer, best=solution())
         outer += 1
-        while not ps.add(j):
-            # Lawson & Hanson's rule: a dependent column cannot lower the
-            # unpenalized objective, so it is passed over for this step
+        while (z := ps.enter(j)) is None:
+            # Lawson & Hanson's rule: a column that cannot enter with a
+            # positive coefficient cannot lower the unpenalized objective,
+            # so it is passed over for this step
             w[j] = -np.inf
             j = int(np.argmax(w))
             if w[j] <= tol * scale:
                 return solution()
 
         inner = 0
-        while True:
+        while z.size and z.min() <= 0.0:
             inner += 1
             if inner > p + 1:
                 raise ConvergenceError(
                     "NNLS inner loop cycled", iterations=outer, best=solution())
-            z = ps.solve(0.0)
             P = ps.indices
-            if z.min() > 0.0:
-                a[P] = z
-                break
             ap = a[P]
             neg = z <= 0.0
             alpha = float(np.min(ap[neg] / (ap[neg] - z[neg])))
@@ -236,22 +256,27 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
             keep = ap > 1e-15 * float(np.abs(ap).max())
             a[P] = np.where(keep, ap, 0.0)
             ps.remove(np.flatnonzero(~keep))
-            if not ps.k:
-                break
-        Ma = ps.fit(a[ps.indices])
+            z = ps.solve(0.0)
+        a[ps.indices] = z
+        Ma = ps.fit(z)
 
 
 def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
     """Polynomially-exact rule from random candidates.
 
-    Draws D i.i.d. standard-normal candidate points, then solves the
-    moment system (one row per exponent vector of total degree <= R,
-    right-hand side the analytic normal moment) by NNLS.  Candidates with
-    zero weight are dropped.  Raises ConstructionError, carrying the
-    achieved residual, when the worst constraint violation exceeds
-    ``POLY_EXACT_TOL``, or when the weight sum (the degree-0 row) is off
-    by more than the 1e-10 that ``GridQuadrature`` allows; the caller may
-    raise D and retry.
+    Draws D i.i.d. standard-normal candidate points and solves, by NNLS,
+    the moment system in the orthonormal Hermite basis: one row
+    prod_l h_{r_l}(w_l) per exponent vector r of total degree <= R
+    (``grids.hermite_matrix``), right-hand side e_0, the normal expectation
+    of each row.  Its rows are a triangular recombination of the monomial
+    rows, whose right-hand side is the analytic normal moment, so both
+    systems have the same exact solutions; the Hermite one is far better
+    conditioned (Sommariva & Vianello 2015).  Candidates with zero weight
+    are dropped.  The kept rule is checked in the monomial basis: raises
+    ConstructionError, carrying the achieved residual, when its
+    ``exactness_residual`` exceeds ``POLY_EXACT_TOL``, or when the weight
+    sum is off by more than the 1e-10 that ``GridQuadrature`` allows; the
+    caller may raise D and retry.
     """
     if d < 1 or D < 1:
         raise ValueError("d and D must be positive")
@@ -260,26 +285,27 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((D, d))
     indices = moment_multi_indices(d, R)
-    system = monomial_matrix(points, indices)
-    targets = moment_targets(indices)
+    target = np.zeros(len(indices))
+    target[0] = 1.0  # indices[0] is r = 0, the weight sum
     # with D >= #constraints an exact fit exists; drive the KKT pass hard
-    # so the degree-0 row (the weight sum) lands within the grid invariant
-    sol = nnls(system, targets, tol=1e-13)
-    residual = float(np.abs(system @ sol.a - targets).max())
+    # so the weight sum lands within the grid invariant
+    sol = nnls(hermite_matrix(points, indices), target, tol=1e-13)
+    keep = sol.a > 0.0
+    kept = GridQuadrature(points[keep], sol.a[keep], normalized=False)
+    residual = exactness_residual(kept, R)
     if residual > POLY_EXACT_TOL:
         raise ConstructionError(
             f"poly-exact construction reached residual {residual:.3e} "
             f"> {POLY_EXACT_TOL:.1e} (d={d}, R={R}, D={D})",
             residual=residual)
-    keep = sol.a > 0.0
-    weight_gap = float(sol.a[keep].sum()) - 1.0
+    weight_gap = float(kept.weights.sum()) - 1.0
     if abs(weight_gap) > 1e-10:
         raise ConstructionError(
             f"poly-exact weights sum to 1 {weight_gap:+.3e}, beyond the 1e-10 "
             f"a normalized rule allows (d={d}, R={R}, D={D})",
             residual=abs(weight_gap))
     return GridQuadrature(
-        points[keep], sol.a[keep],
+        kept.points, kept.weights,
         provenance=f"poly_exact(d={d}, R={R}, D={D}, seed={seed}, "
                    f"residual={residual:.3e})")
 
@@ -388,14 +414,21 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     return _fitted_grid(pool, system, targets, keep, a, f"lam={lam!r}")
 
 
+# a penalty round-tripped through lam = 2s/n lands within 2 eps of s
+_ROUNDS_TO = 8 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class _PathSegment:
     """One linear piece of the nonnegative-lasso path.
 
     For hi >= s >= lo the solution is supported on the columns ``support``,
     with coefficients moving linearly from ``a_hi`` at s = hi to ``a_lo`` at
-    s = lo.  ``events`` counts the entries and exits walked to reach it,
-    the one that opened it included.
+    s = lo.  ``entered`` is the position in ``support`` of the column whose
+    entry opened the segment at hi, its coefficient exactly 0 there, and
+    ``exits`` that of the column that leaves at lo, each None if that
+    breakpoint is another kind of event.  ``events`` counts the entries and
+    exits walked to reach the segment, the one that opened it included.
     """
 
     hi: float
@@ -404,17 +437,28 @@ class _PathSegment:
     a_hi: np.ndarray
     a_lo: np.ndarray
     events: int
+    entered: Optional[int]
+    exits: Optional[int]
 
     def at(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Support and coefficients at hi >= s >= lo.  As in Lawson-Hanson,
-        coefficients at rounding level of the largest are zeroed: a penalty
-        taken from a breakpoint may round-trip to just below it, where the
-        entering column would otherwise keep a weight of ~1e-16."""
-        if s == self.lo:
-            a = self.a_lo
+        """Support and coefficients at hi >= s >= lo.  A penalty taken from
+        a breakpoint may round-trip to just inside the segment, so the
+        entering column is dropped where s rounds to hi and the exiting one
+        where s rounds to lo: the breakpoint decides, not the few-ulp weight
+        the column would keep there."""
+        # interpolated from the nearer end, so that a weight vanishing at the
+        # other end stays positive this side of it
+        if s - self.lo <= self.hi - s:
+            near, far, t = self.a_lo, self.a_hi, s - self.lo
         else:
-            a = self.a_hi + (self.hi - s) / (self.hi - self.lo) * (self.a_lo - self.a_hi)
-        keep = a > 1e-15 * a.max(initial=0.0)
+            near, far, t = self.a_hi, self.a_lo, self.hi - s
+        # (t = 0 at either end, and on a segment of zero length)
+        a = near + t / (self.hi - self.lo) * (far - near) if t else near
+        keep = np.ones(a.size, dtype=bool)
+        if self.entered is not None and self.hi - s <= _ROUNDS_TO * self.hi:
+            keep[self.entered] = False
+        if self.exits is not None and s - self.lo <= _ROUNDS_TO * self.lo:
+            keep[self.exits] = False
         return self.support[keep], a[keep]
 
 
@@ -444,6 +488,7 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
     ps.add(int(np.argmax(MTb)))
     passed = np.zeros(p, dtype=bool)
     events = 1
+    entered = 0  # position of the column whose entry opens the next segment
     while True:
         k = ps.k
         support = ps.indices.copy()
@@ -459,22 +504,32 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
         can = (gap > 0.0) & ~passed
         can[support] = False
         t_in[can] = np.maximum(s - c[can], 0.0) / gap[can]
+        exits = None
         while True:
             j, i = int(np.argmin(t_in)), int(np.argmin(t_out))
             step = min(t_in[j], t_out[i], s)
             if step == s:
-                yield _PathSegment(s, 0.0, support, a, a + s * d, events)
-                return
+                break
             if t_out[i] <= t_in[j]:
                 ps.remove(np.array([i]))
                 passed[:] = False
+                exits = i
                 break
             if ps.add(j):
                 break
             passed[j] = True
             t_in[j] = np.inf
-        segment = _PathSegment(s, s - step, support, a, a + step * d, events)
+        a_lo = a + step * d
+        # the entering column's coefficient vanishes at its breakpoint, but
+        # the solve leaves it off by up to ~1e-14 of the largest, of either sign
+        if entered is not None:
+            a[entered] = 0.0
+        segment = _PathSegment(s, s - step, support, a, a_lo, events,
+                               entered, exits)
         yield segment
+        if step == s:
+            return
+        entered = None if exits is not None else k
         events += 1
         if events > 3 * p:
             raise ConvergenceError(

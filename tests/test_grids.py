@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 
+from quadfeat import grids
 from quadfeat.errors import GridSizeError
 from quadfeat.grids import (
+    MERGE_DECIMALS,
     GridQuadrature,
     dense_grid,
     exactness_residual,
     grid_from_json,
     grid_to_json,
+    hermite_matrix,
     moment_multi_indices,
     moment_targets,
+    monomial_matrix,
     sparse_grid,
     subsample_dense_grid,
     subsample_grid,
@@ -194,6 +201,49 @@ class TestExactnessResidual:
             exactness_residual(dense_grid(2, 3), 40, cap=100)
 
 
+def hermite_change_of_rows(indices):
+    """T with T[r, s] = prod_l c[r_l, s_l], c[k, j] the x^j coefficient of
+    He_k / sqrt(k!) from numpy's Hermite_e series: the normalized Hermite
+    rows as combinations of the monomial rows."""
+    top = max((max(r) for r in indices), default=0) + 1
+    c = np.zeros((top, top))
+    for k in range(top):
+        c[k, :k + 1] = hermite_e.herme2poly(np.eye(top)[k])[:k + 1] / math.sqrt(
+            math.factorial(k))
+    return np.array([[math.prod(c[rl, sl] for rl, sl in zip(r, s)) for s in indices]
+                     for r in indices])
+
+
+class TestHermiteMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_triangular_change_of_the_monomial_rows(self, d):
+        points = np.random.default_rng(d).standard_normal((40, d))
+        for R in range(7):
+            indices = moment_multi_indices(d, R)
+            T = hermite_change_of_rows(indices)
+            degree = np.array([sum(r) for r in indices])
+            # lower triangular by total degree, with a nonzero diagonal: invertible
+            assert (T[degree[:, None] < degree[None, :]] == 0.0).all()
+            same = degree[:, None] == degree[None, :]
+            assert (T[same] == np.diag(np.diag(T))[same]).all()
+            assert (np.diag(T) != 0.0).all()
+            np.testing.assert_allclose(hermite_matrix(points, indices),
+                                       T @ monomial_matrix(points, indices),
+                                       rtol=1e-12, atol=1e-11)
+            e0 = np.zeros(len(indices))
+            e0[0] = 1.0
+            np.testing.assert_allclose(T @ moment_targets(indices), e0,
+                                       rtol=0, atol=1e-12)
+
+    def test_orthonormal_under_an_exact_rule(self):
+        # the 6-point Gauss rule is exact to degree 11 per coordinate, so the
+        # rows of total degree <= 5 are orthonormal against its weights
+        g = dense_grid(6, 2)
+        H = hermite_matrix(g.points, moment_multi_indices(2, 5))
+        np.testing.assert_allclose((H * g.weights) @ H.T, np.eye(H.shape[0]),
+                                   rtol=0, atol=1e-14)
+
+
 class TestSubsample:
     def test_single_point_grid(self):
         g = GridQuadrature(np.array([[1.5, -0.5]]), np.array([1.0]))
@@ -282,3 +332,60 @@ def test_empty_grid_round_trip():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         GridQuadrature(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
+
+
+def lexsort_check(points):
+    """The duplicate-row check by lexicographic sort: True if the rows are
+    distinct after rounding to MERGE_DECIMALS."""
+    if points.shape[0] < 2:
+        return True
+    rounded = np.round(points, MERGE_DECIMALS)
+    srt = rounded[np.lexsort(rounded.T[::-1])]
+    return not (np.abs(np.diff(srt, axis=0)).max(axis=1) == 0.0).any()
+
+
+def accepts(points):
+    try:
+        grids._check_unique_rows(points)
+    except ValueError:
+        return False
+    return True
+
+
+class TestUniqueRows:
+    """The one-pass check for sorted rows against the lexsort check."""
+
+    @pytest.mark.parametrize("g", [dense_grid(3, 4), dense_grid(2, 6),
+                                   sparse_grid(3, 3), sparse_grid(2, 25)],
+                             ids=["dense-3-4", "dense-2-6", "sparse-3-3",
+                                  "sparse-2-25"])
+    def test_structured_grids_take_the_one_pass(self, g):
+        assert grids._strictly_increasing(np.round(g.points, MERGE_DECIMALS))
+        reordered = g.points[::-1]
+        assert not grids._strictly_increasing(np.round(reordered, MERGE_DECIMALS))
+        assert accepts(reordered) and lexsort_check(reordered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                         min_size=0, max_size=12),
+           order=st.sampled_from(["sorted", "as drawn"]),
+           nudge=st.sampled_from([0.0, 1e-14, 1e-9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accepts_and_refuses_as_the_lexsort(self, rows, order, nudge, seed):
+        # small integer rows collide often; a nudge of 1e-14 vanishes in the
+        # rounding to 12 decimals, one of 1e-9 does not
+        points = np.array(rows, dtype=float).reshape(-1, 3) / 3.0
+        if order == "sorted":
+            points = points[np.lexsort(points.T[::-1])]
+        rng = np.random.default_rng(seed)
+        points = points + nudge * rng.integers(-1, 2, size=points.shape)
+        assert accepts(points) == lexsort_check(points)
+
+    def test_rows_equal_only_after_rounding(self):
+        a = np.array([[0.1, 0.2], [0.1, 0.2 + 1e-14], [0.3, 0.0]])
+        assert not lexsort_check(a)
+        assert not accepts(a)
+        b = np.array([[0.1, 0.2], [0.1, 0.2 + 1e-9], [0.3, 0.0]])
+        assert accepts(b) and lexsort_check(b)
+        c = np.array([[-1e-13, 1.0], [0.0, 1.0]])  # -0.0 and 0.0 after rounding
+        assert not accepts(c) and not lexsort_check(c)

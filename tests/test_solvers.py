@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfeat import solvers
 from quadfeat.errors import ConstructionError, ConvergenceError
@@ -12,6 +14,7 @@ from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
     exactness_residual,
+    hermite_matrix,
     moment_multi_indices,
     moment_targets,
     monomial_matrix,
@@ -193,6 +196,38 @@ class TestConstructPolyExact:
         with pytest.raises(ConstructionError) as exc:
             construct_poly_exact(4, 2, 3, seed=0)
         assert exc.value.residual > 1e-8
+
+    def test_too_few_candidates_raise_construction_errors(self):
+        # 75 candidates for the 15 moments of degree <= 4 in two dimensions
+        # are often too few; each seed gives an exact rule or a
+        # ConstructionError, never a stalled solver.  At seed 40 the updated
+        # passive-set inverse drifts until an entering column's coefficient
+        # comes out negative, and only an inverse formed afresh goes on.
+        failed = 0
+        for seed in range(60):
+            try:
+                g = construct_poly_exact(2, 4, 75, seed)
+            except ConstructionError as exc:
+                failed += 1
+                assert exc.residual > solvers.POLY_EXACT_TOL
+            else:
+                assert exactness_residual(g, 4) <= solvers.POLY_EXACT_TOL
+        assert 10 <= failed <= 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), R=st.sampled_from([0, 2, 4]),
+           spare=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_rules_are_exact_positive_and_normalized(self, d, R, spare, seed):
+        # D of 10-20 candidates per constraint, and at least 200, is feasible
+        # for every seed tried (1500 per (d, R), d <= 3)
+        n_constraints = math.comb(d + R, d)
+        low = max(10 * n_constraints, 200)
+        D = low + int(spare * (max(20 * n_constraints, 400) - low))
+        g = construct_poly_exact(d, R, D, seed)
+        assert exactness_residual(g, R) <= 1e-8
+        assert (g.weights >= 0.0).all()
+        assert abs(g.weights.sum() - 1.0) <= 1e-10
+        assert g.count <= n_constraints
 
     def test_weight_sum_gap_is_a_construction_error(self, monkeypatch):
         # moment residual 5e-10 passes POLY_EXACT_TOL, but a normalized rule
@@ -516,6 +551,29 @@ class TestPath:
             assert -grad[a == 0].min(initial=0.0) <= 1e-10 * scale
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_support_next_to_each_breakpoint(self, case):
+        """A penalty a few ulps from a breakpoint has the support of the
+        breakpoint itself, read from the segment above, and every penalty
+        near one has positive weights."""
+        candidates, pairs, kernel, _ = path_problem(case)
+        pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+        eps = np.finfo(float).eps
+        above = np.zeros(0, dtype=np.intp)
+        for seg in solvers._nonneg_lasso_path(M, b):
+            at_lo, a = seg.at(seg.lo)
+            assert (a > 0.0).all()
+            for k in (1, 2, 3, 4, 9, 16, 64):
+                for s, breakpoint in ((seg.hi * (1.0 - k * eps), above),
+                                      (seg.lo * (1.0 + k * eps), at_lo)):
+                    if not seg.lo <= s <= seg.hi:
+                        continue
+                    support, a = seg.at(s)
+                    assert (a > 0.0).all()
+                    if k <= 4:
+                        assert sorted(support) == sorted(breakpoint)
+            above = at_lo
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_selection_is_certified_by_cold_solves(self, case):
         candidates, pairs, kernel, target = path_problem(case)
         res = bisect_lambda(candidates, pairs, kernel, target)
@@ -559,6 +617,23 @@ class TestKktOnHardSystems:
         on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
         assert on <= 1e-8
         assert off <= 1e-8
+
+    def test_poly_exact_system_hermite_basis(self):
+        # the system construct_poly_exact solves, same candidates as above
+        rng = np.random.default_rng(0)
+        M = hermite_matrix(rng.standard_normal((1351, 25)),
+                           moment_multi_indices(25, 2))
+        b = np.zeros(M.shape[0])
+        b[0] = 1.0
+        sol = nnls(M, b, tol=1e-13)
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+
+    def test_hermite_basis_conditioning(self):
+        # 3.5 measured, against 23.7 for the monomial rows of the same points
+        points = np.random.default_rng(0).standard_normal((1351, 25))
+        assert np.linalg.cond(hermite_matrix(points, moment_multi_indices(25, 2))) <= 7.0
 
     def test_near_singular_cos_system(self):
         # +w and -w give identical cos columns, and the lattice has both
