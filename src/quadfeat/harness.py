@@ -194,17 +194,18 @@ def synthetic_mixture(n: int, seed: int, d: int = 40, components: int = 4,
 
 
 def _integer(value, key: str) -> int:
-    """``value`` as an int, if it is integral (2 and 2.0, not 2.7 or "2")."""
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, float) and value.is_integer()):
+    """``value`` as an int, if it is integral (2 and 2.0, not 2.7, "2" or True)."""
+    if not isinstance(value, bool) and (isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer())):
         return int(value)
     raise ConfigError(f"sweep config key {key!r} must be an integer, got {value!r}",
                       key=key)
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a float, if it is a number (2 and 0.5, not "0.5")."""
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    """``value`` as a float, if it is a number (2 and 0.5, not "0.5" or True)."""
+    if not isinstance(value, bool) and isinstance(
+            value, (int, float, np.integer, np.floating)):
         return float(value)
     raise ConfigError(f"sweep config key {key!r} must be a number, got {value!r}",
                       key=key)
@@ -256,6 +257,10 @@ class SweepConfig:
         for key in ("methods", "d", "gamma", "D", "M", "seeds"):
             if key not in raw:
                 raise ConfigError(f"missing sweep config key {key!r}", key=key)
+        for key in ("methods", "D", "M", "seeds"):  # [8] or (8,), not [], 8 or "rff"
+            if not isinstance(raw[key], (list, tuple)) or not raw[key]:
+                raise ConfigError(f"sweep config key {key!r} must be a non-empty "
+                                  f"list, got {raw[key]!r}", key=key)
         cfg = cls(
             methods=[str(m) for m in raw["methods"]],
             d=_integer(raw["d"], "d"),
@@ -272,9 +277,6 @@ class SweepConfig:
                 setattr(cfg, key, str(raw[key]))
         if raw.get("lam") is not None:
             cfg.lam = _real(raw["lam"], "lam")
-        for key in ("methods", "D", "M", "seeds"):
-            if not getattr(cfg, key):
-                raise ConfigError(f"sweep config key {key!r} is empty", key=key)
         for m in cfg.methods:
             if m not in CLI_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")

@@ -1,17 +1,13 @@
 """Non-negative least squares and the two NNLS-backed rule constructors.
 
-``nnls`` is a Lawson-Hanson active-set solver working on the normal
-equations.  It keeps the inverse of the passive Gram matrix M_P'M_P in a
-preallocated buffer and updates it in place: a column entering the
-passive set borders the inverse through its Schur complement, a column
-leaving it is removed by a rank-one downdate.  One outer step therefore
-costs O(nk + k^2) on top of the O(np) gradient, with k the passive-set
-size, and no p x p Gram matrix is ever formed.  Each passive solve is
-refined once against M_P so that update errors do not accumulate.  A
-column that is numerically dependent on the passive set, or whose
-coefficient would enter non-positive even after the inverse is formed
-afresh, is passed over for that step, as in Lawson & Hanson (1974,
-ch. 23).
+``nnls`` is a Lawson-Hanson active-set solver.  It keeps an orthonormal
+basis Q of the passive columns M_P and the factor S with M_P S = Q, so a
+passive solve is S Q'b, its fit is Q Q'b, and the condition of M_P is never
+squared as in the normal equations.  A column enters by Gram-Schmidt and
+leaves by one Householder reflection, each O(nk) for k passive columns.  A
+column numerically dependent on the passive set, or whose coefficient would
+enter non-positive, is passed over for that step, as in Lawson & Hanson
+(1974, ch. 23).
 
 On top of it sit
 
@@ -26,8 +22,8 @@ On top of it sit
   and ``bisect_lambda``, which picks the penalty for a target support
   size.  Every penalized fit is read off the exact nonnegative-lasso path
   (positive LARS), walked from the largest useful penalty down, one
-  entering or leaving column per step; the path reuses the passive-set
-  inverse and its updates, and each step costs O(np).  Lawson-Hanson
+  entering or leaving column per step; the path updates the same
+  passive-set factor, and each step costs O(np).  Lawson-Hanson
   solves the unpenalized fits.  Both fold mirror pairs w, -w of the
   candidates into one column first.
 
@@ -50,9 +46,9 @@ from .grids import (
 )
 from .kernels import AnovaKernel, GaussianKernel, kernel_values
 
-# an entering column whose Schur complement is below this fraction of its
-# squared norm lies numerically in the span of the passive columns
-_DEPENDENT = 1e-12
+# an entering column whose part orthogonal to the passive columns is below
+# this fraction of its norm lies numerically in their span
+_DEPENDENT = 1e-8
 POLY_EXACT_TOL = 1e-8  # worst moment violation a poly-exact rule may keep
 
 
@@ -69,7 +65,7 @@ class NnlsSolution:
 
 def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
          max_iter: Optional[int] = None) -> NnlsSolution:
-    """Lawson-Hanson NNLS with an updated inverse of the passive Gram matrix.
+    """Lawson-Hanson NNLS on an updated orthonormal basis of the passive set.
 
     KKT at exit: gradient components on the support vanish to within
     ``tol * ||M^T b||`` and are non-negative off the support, except on
@@ -82,20 +78,20 @@ def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
 
 
 class _PassiveSet:
-    """Passive columns of M and the inverse of their Gram matrix.
+    """Passive columns M_P of M as an orthonormal basis and its factor.
 
-    ``rows[:k]`` holds the passive columns as contiguous rows and
-    ``inv[:k, :k]`` the inverse of ``rows[:k] @ rows[:k].T``; both live in
+    The rows of ``Q[:k, :n]`` are an orthonormal basis q_1..q_k of the
+    passive columns, ``Q[:k, n]`` holds q_r'b, and ``S[:k, :k]`` is the
+    factor with M_P S = [q_1 .. q_k], so (M_P'M_P)^-1 = S S'.  Both live in
     buffers sized for the largest possible passive set, min(n, p).
     """
 
-    def __init__(self, MT: np.ndarray, b: np.ndarray, MTb: np.ndarray):
-        p, n = MT.shape
-        cap = min(n, p)
-        self.MT, self.b, self.MTb = MT, b, MTb
+    def __init__(self, MT: np.ndarray, b: np.ndarray):
+        cap, n = min(MT.shape), MT.shape[1]
+        self.MT, self.b = MT, b
         self.idx = np.empty(cap, dtype=np.intp)
-        self.rows = np.empty((cap, n))
-        self.inv = np.empty((cap, cap))
+        self.Q = np.empty((cap, n + 1))
+        self.S = np.empty((cap, cap))
         self.k = 0
 
     @property
@@ -103,79 +99,82 @@ class _PassiveSet:
         return self.idx[:self.k]
 
     def add(self, j: int) -> bool:
-        """Border the inverse with column j; False, and the set unchanged,
-        if j is numerically dependent on the passive columns."""
+        """Append column j by Gram-Schmidt against the basis; False, and the
+        set unchanged, if j is numerically dependent on the passive columns."""
         k = self.k
-        col = self.MT[j]
-        g = float(col @ col)
-        c = self.rows[:k] @ col
-        h = self.inv[:k, :k] @ c
-        s = g - float(c @ h)
-        if k == self.idx.size or not s > _DEPENDENT * g:
+        if k == self.idx.size:
             return False
-        self.inv[:k, :k] += np.outer(h / s, h)
-        self.inv[:k, k] = self.inv[k, :k] = -h / s
-        self.inv[k, k] = 1.0 / s
-        self.rows[k] = col
+        col = self.MT[j]
+        Q = self.Q[:k, :-1]
+        h = Q @ col
+        r = col - h @ Q
+        norm, rho = (col @ col) ** 0.5, (r @ r) ** 0.5
+        if rho < 0.5 * norm:  # cancellation: orthogonalize a second time
+            h2 = Q @ r
+            r -= h2 @ Q
+            h += h2
+            rho = (r @ r) ** 0.5
+        if not rho > _DEPENDENT * norm:
+            return False
+        # col = Q'h + rho q, so q = M_P (-S h / rho) + col / rho
+        self.S[:k, k] = self.S[:k, :k] @ (h / -rho)
+        self.S[k, :k] = 0.0
+        self.S[k, k] = 1.0 / rho
+        np.divide(r, rho, out=self.Q[k, :-1])
+        self.Q[k, -1] = self.Q[k, :-1] @ self.b
         self.idx[k] = j
         self.k = k + 1
         return True
 
-    def enter(self, j: int) -> Optional[np.ndarray]:
-        """Add column j and return the unpenalized passive solve; None, and
-        the set unchanged, if j is dependent on the passive columns or its
-        coefficient is not positive.  In exact arithmetic a column entering
-        with a positive gradient gets a positive coefficient (Lawson & Hanson
-        1974, ch. 23), so a non-positive one first has the inverse, drifted
-        by earlier updates, formed afresh."""
-        if not self.add(j):
-            return None
-        z = self.solve(0.0)
-        if z[-1] <= 0.0 and self.reset(self.indices.copy()):
-            z = self.solve(0.0)
-        if z[-1] > 0.0:
-            return z
-        self.remove(np.array([self.k - 1]))
+    def enter(self, j: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Add column j and return the unpenalized passive solve and its fit;
+        None, and the set unchanged, if j is dependent on the passive columns
+        or its coefficient is not positive."""
+        if self.add(j):
+            z, fit = self.solve()
+            if z[-1] > 0.0:
+                return z, fit
+            self.remove(np.array([self.k - 1]))
         return None
 
     def remove(self, positions: np.ndarray) -> None:
-        """Drop the passive columns at ``positions`` by rank-one downdates."""
+        """Drop the passive columns at ``positions``.  One Householder
+        reflection of the basis maps the column's row of S onto the last unit
+        vector, so that only the last basis vector involves the column; that
+        vector, the row and the last column of S are then cut off."""
         for i in np.sort(positions)[::-1]:
-            last = self.k - 1
-            if i != last:
-                # move column i to the end, then peel off the last row/column
-                swap = [i, last]
-                self.inv[swap, :self.k] = self.inv[swap[::-1], :self.k]
-                self.inv[:self.k, swap] = self.inv[:self.k, swap[::-1]]
-                self.rows[swap] = self.rows[swap[::-1]]
-                self.idx[swap] = self.idx[swap[::-1]]
-            e = self.inv[:last, last]
-            self.inv[:last, :last] -= np.outer(e / self.inv[last, last], e)
-            self.k = last
+            k = self.k
+            S, Q = self.S[:k, :k], self.Q[:k]
+            v = S[i].copy()
+            norm, end = float(v @ v) ** 0.5, float(v[-1])
+            v[-1] += norm if end >= 0.0 else -norm
+            v /= (norm * (norm + abs(end))) ** 0.5  # v'v = 2: I - v v' reflects
+            S -= np.outer(S @ v, v)
+            Q -= np.outer(v, v @ Q)
+            S[i], self.idx[i] = S[-1], self.idx[k - 1]  # the last row replaces row i
+            self.k = k - 1
 
     def reset(self, start: np.ndarray) -> bool:
-        """Make ``start`` the passive set, inverting its Gram matrix afresh;
-        False (and the set left empty) if that matrix is singular."""
+        """Make ``start`` the passive set by a QR factorization of its columns;
+        False, and the set left empty, if one is numerically dependent on the
+        columns before it."""
         k = start.size
-        self.idx[:k] = start
-        np.take(self.MT, start, axis=0, out=self.rows[:k])
-        try:
-            self.inv[:k, :k] = np.linalg.inv(self.rows[:k] @ self.rows[:k].T)
-        except np.linalg.LinAlgError:
+        cols = self.MT[start]
+        Q, R = np.linalg.qr(cols.T)
+        if not (np.abs(np.diag(R)) > _DEPENDENT * np.linalg.norm(cols, axis=1)).all():
             return False
+        self.Q[:k, :-1] = Q.T
+        self.Q[:k, -1] = self.b @ Q
+        self.S[:k, :k] = np.linalg.inv(R)
+        self.idx[:k] = start
         self.k = k
         return True
 
-    def solve(self, shift: float) -> np.ndarray:
-        """Minimizer of 0.5||M_P z - b||^2 + shift 1'z, refined once."""
-        P, H = self.rows[:self.k], self.inv[:self.k, :self.k]
-        z = H @ (self.MTb[self.indices] - shift)
-        z += H @ (P @ (self.b - P.T @ z) - shift)
-        return z
-
-    def fit(self, z: np.ndarray) -> np.ndarray:
-        """M_P z, the fitted values of passive coefficients z."""
-        return self.rows[:self.k].T @ z
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Minimizer z of ||M_P z - b|| and its fit M_P z: z = S Q'b and
+        M_P z = Q Q'b."""
+        Q = self.Q[:self.k]
+        return self.S[:self.k, :self.k] @ Q[:, -1], Q[:, -1] @ Q[:, :-1]
 
 
 def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
@@ -192,38 +191,33 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, p = M.shape
-    if max_iter is None:
-        max_iter = 3 * p
+    max_iter = 3 * p if max_iter is None else max_iter
     MT = np.ascontiguousarray(M.T)
     MTb = MT @ b
     scale = float(np.linalg.norm(MTb)) or 1.0
     a = np.zeros(p)
     Ma = np.zeros(n)
-    ps = _PassiveSet(MT, b, MTb)
+    ps = _PassiveSet(MT, b)
     objectives: list[float] = []
     outer = 0
 
-    def current_objective():
-        r = Ma - b
-        return 0.5 * float(r @ r)
-
     def solution():
         active = tuple(np.flatnonzero(a == 0.0).tolist())
-        return NnlsSolution(a.copy(), float(np.linalg.norm(Ma - b)), active,
+        return NnlsSolution(a.copy(), float(np.linalg.norm(M @ a - b)), active,
                             outer, tuple(objectives))
 
     if start is not None and ps.reset(np.asarray(start, dtype=np.intp)):
         while ps.k:
-            z = ps.solve(0.0)
+            z, fit = ps.solve()
             if z.min() > 0.0:
-                a[ps.indices] = z
-                Ma = ps.fit(z)
+                a[ps.indices], Ma = z, fit
                 break
             ps.remove(np.flatnonzero(z <= 0.0))
 
     while True:
-        objectives.append(current_objective())
-        w = MTb - MT @ Ma
+        r = b - Ma
+        objectives.append(0.5 * float(r @ r))
+        w = MT @ r
         w[ps.indices] = -np.inf
         if not p or w.max() <= tol * scale:
             return solution()
@@ -233,7 +227,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
                 f"NNLS did not converge within {max_iter} iterations",
                 iterations=outer, best=solution())
         outer += 1
-        while (z := ps.enter(j)) is None:
+        while (entered := ps.enter(j)) is None:
             # Lawson & Hanson's rule: a column that cannot enter with a
             # positive coefficient cannot lower the unpenalized objective,
             # so it is passed over for this step
@@ -241,6 +235,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
             j = int(np.argmax(w))
             if w[j] <= tol * scale:
                 return solution()
+        z, fit = entered
 
         inner = 0
         while z.size and z.min() <= 0.0:
@@ -256,9 +251,8 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
             keep = ap > 1e-15 * float(np.abs(ap).max())
             a[P] = np.where(keep, ap, 0.0)
             ps.remove(np.flatnonzero(~keep))
-            z = ps.solve(0.0)
-        a[ps.indices] = z
-        Ma = ps.fit(z)
+            z, fit = ps.solve()
+        a[ps.indices], Ma = z, fit
 
 
 def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
@@ -483,7 +477,7 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
     s = float(MTb.max(initial=0.0))
     if s <= 0.0:
         return  # a = 0 is optimal at every s >= 0
-    ps = _PassiveSet(MT, b, MTb)
+    ps = _PassiveSet(MT, b)
     # one active column has d > 0 and never exits, so A is never empty
     ps.add(int(np.argmax(MTb)))
     passed = np.zeros(p, dtype=bool)
@@ -492,10 +486,14 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
     while True:
         k = ps.k
         support = ps.indices.copy()
-        a = ps.solve(s)
-        d = ps.inv[:k, :k].sum(axis=1)
-        fit = ps.fit(np.column_stack([a, d]))
-        c, v = (MT @ np.column_stack([b - fit[:, 0], fit[:, 1]])).T
+        # [a, d] = S y and M_A [a, d] = Q y, with y = [Q'b - s S'1, S'1]
+        S, Q = ps.S[:k, :k], ps.Q[:k]
+        y = S.sum(axis=0) * np.array([[-s], [1.0]])
+        y[0] += Q[:, -1]
+        a, d = y @ S.T
+        fit = y @ Q[:, :-1]
+        fit[0] = b - fit[0]  # c from the residual b - M_A a, not from M'b
+        c, v = (MT @ fit.T).T
         t_out = np.full(k, np.inf)
         falling = d < 0.0
         t_out[falling] = np.maximum(a[falling], 0.0) / -d[falling]

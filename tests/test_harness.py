@@ -212,6 +212,9 @@ class TestSweep:
         ("lam", math.inf), ("gamma", "x"), ("M", ["y"]), ("lam", "abc"),
         ("L", 0), ("L", 201), ("level", -1), ("level", 8), ("degree", -2),
         ("degree", 3), ("seeds", [0, -1]),
+        # a scalar or a string where a list belongs, a bool for a number
+        ("D", 8), ("M", 1.0), ("seeds", 0), ("methods", "rff"),
+        ("n_eval", True), ("D", [True]), ("gamma", True),
     ])
     def test_out_of_range_value_is_named(self, key, value, monkeypatch):
         from quadfeat import harness
@@ -225,6 +228,11 @@ class TestSweep:
         with pytest.raises(ConfigError) as exc:
             sweep(config)
         assert exc.value.key == key
+
+    def test_method_string_is_not_split_into_letters(self):
+        with pytest.raises(ConfigError, match="'methods' must be a non-empty list"):
+            SweepConfig.from_dict({"methods": "rff", "d": 2, "gamma": 0.5,
+                                   "D": [8], "M": [1.0], "seeds": [0]})
 
     def test_rule_options_accepted_up_to_their_bounds(self):
         # the 200-node rule, the 2^7-point rule of level 7, degree 0

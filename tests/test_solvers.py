@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quadfeat import solvers
 from quadfeat.errors import ConstructionError, ConvergenceError
+from quadfeat.featuremaps import rff
 from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
@@ -42,6 +43,54 @@ def brute_force_nnls_objective(M, b):
                 r = sub @ coef - b
                 best = min(best, float(r @ r))
     return best
+
+
+def textbook_lawson_hanson(M, b, tol):
+    """Lawson & Hanson (1974, ch. 23) as printed, one lstsq per passive
+    solve, with their pass-over of a column that enters non-positive."""
+    p = M.shape[1]
+    a, passive = np.zeros(p), np.zeros(p, dtype=bool)
+    scale = np.linalg.norm(M.T @ b)
+
+    def passive_solve():
+        z = np.zeros(p)
+        z[passive] = np.linalg.lstsq(M[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(3 * p):
+        w = M.T @ (b - M @ a)
+        w[passive] = -np.inf
+        while w.max() > tol * scale:
+            j = int(np.argmax(w))
+            passive[j] = True
+            z = passive_solve()
+            if z[j] > 0.0:
+                break
+            passive[j], w[j] = False, -np.inf
+        else:
+            return a
+        while z[passive].min() <= 0.0:
+            neg = passive & (z <= 0.0)
+            a += np.min(a[neg] / (a[neg] - z[neg])) * (z - a)
+            passive &= a > 0.0
+            a[~passive] = 0.0
+            z = passive_solve()
+        a = z
+    raise AssertionError("the textbook solver did not converge")
+
+
+def squared_residual(M, b, a):
+    r = M @ a - b
+    return float(r @ r)
+
+
+def near_singular_cos_system():
+    """+w and -w give identical cos columns, and the lattice has both."""
+    rng = np.random.default_rng(1)
+    candidates = subsample_dense_grid(8, 5, 160, seed=1)
+    U = rng.standard_normal((500, 5)) * 1.5
+    M = np.cos(U @ (candidates.points * np.sqrt(0.2)).T)
+    return M, GaussianKernel(0.1).value(U)
 
 
 def penalized_objective(M, b, shift, a):
@@ -168,6 +217,34 @@ class TestNnls:
             assert off <= 1e-8
         assert passed_over >= 3
 
+    def test_nearly_dependent_mixed_sign_column(self):
+        # the last column is a mixed-sign combination of the first three plus
+        # noise of size 1e-7, far above rounding: it is independent, and
+        # passing it over can stop far above the optimum.  The oracle's own
+        # lstsq rounds by up to ~3e-9 here, so only overshoot is bounded.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            M = rng.standard_normal((6, 4))
+            M[:, 3] = M[:, :3] @ rng.standard_normal(3) \
+                + 1e-7 * rng.standard_normal(6)
+            b = rng.standard_normal(6)
+            a = nnls(M, b).a
+            assert (a >= 0.0).all()
+            optimum = brute_force_nnls_objective(M, b)
+            assert squared_residual(M, b, a) <= optimum + 1e-9
+
+    def test_matches_the_textbook_solver(self):
+        # the near-singular cos system, and the Hermite system of
+        # construct_poly_exact(2, 4, 75, seed=40), which has no exact rule
+        points = np.random.default_rng(40).standard_normal((75, 2))
+        hermite = hermite_matrix(points, moment_multi_indices(2, 4))
+        for (M, b), tol in ((near_singular_cos_system(), 1e-10),
+                            ((hermite, np.eye(hermite.shape[0])[0]), 1e-13)):
+            ours = squared_residual(M, b, nnls(M, b, tol=tol).a)
+            ref = squared_residual(M, b, textbook_lawson_hanson(M, b, tol))
+            assert ref > 0.0
+            assert ours == pytest.approx(ref, rel=1e-10)
+
 
 class TestConstructPolyExact:
     def test_degree_zero_is_weight_normalization(self):
@@ -200,9 +277,9 @@ class TestConstructPolyExact:
     def test_too_few_candidates_raise_construction_errors(self):
         # 75 candidates for the 15 moments of degree <= 4 in two dimensions
         # are often too few; each seed gives an exact rule or a
-        # ConstructionError, never a stalled solver.  At seed 40 the updated
-        # passive-set inverse drifts until an entering column's coefficient
-        # comes out negative, and only an inverse formed afresh goes on.
+        # ConstructionError, never a stalled solver.  At seed 40 passive sets
+        # reach condition 3.6e5, so their Gram matrices reach 1.3e11; the
+        # solver never forms them, and works on an orthonormal basis instead.
         failed = 0
         for seed in range(60):
             try:
@@ -636,14 +713,30 @@ class TestKktOnHardSystems:
         assert np.linalg.cond(hermite_matrix(points, moment_multi_indices(25, 2))) <= 7.0
 
     def test_near_singular_cos_system(self):
-        # +w and -w give identical cos columns, and the lattice has both
-        rng = np.random.default_rng(1)
-        candidates = subsample_dense_grid(8, 5, 160, seed=1)
-        U = rng.standard_normal((500, 5)) * 1.5
-        M = np.cos(U @ (candidates.points * np.sqrt(0.2)).T)
-        b = GaussianKernel(0.1).value(U)
+        M, b = near_singular_cos_system()
         assert np.linalg.cond(M) > 1e12
         sol = nnls(M, b)
         on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+
+    def test_exact_mean_squared_error_system(self):
+        # over u ~ N(0, sigma^2 I) the mean squared error of k~ is
+        # a'Qa - 2q'a + c, with Q_ij = E cos(w_i'u) cos(w_j'u) and
+        # q_i = E k(u) cos(w_i'u); with Q = LL', M = L' and b = L^-1 q give
+        # M'M = Q and M'b = q.  At sigma = 0.05 cond(Q) is ~1e11, so the
+        # passive Gram matrices are beyond double precision
+        w = rff(25, 1351, 0.5, seed=1).grid.points  # gamma 1/2: w are the frequencies
+        sigma2, spread = 0.05**2, 1.0 + 0.05**2  # 1 + 2 gamma sigma^2
+        sq = (w * w).sum(axis=1)
+        cross = w @ w.T
+        Q = 0.5 * (np.exp(-0.5 * sigma2 * (sq[:, None] + sq - 2.0 * cross))
+                   + np.exp(-0.5 * sigma2 * (sq[:, None] + sq + 2.0 * cross)))
+        Q[np.diag_indices_from(Q)] += 1e-13 * np.trace(Q) / len(Q)
+        q = spread ** (-25 / 2) * np.exp(-0.5 * sigma2 * sq / spread)
+        L = np.linalg.cholesky(Q)
+        M, b = L.T, np.linalg.solve(L, q)
+        sol = nnls(M, b)
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(q))
         assert on <= 1e-8
         assert off <= 1e-8
