@@ -301,6 +301,21 @@ class SweepConfig:
         return load_anova(self.anova) if self.anova else GaussianKernel(self.gamma)
 
 
+def config_dataset(config: SweepConfig,
+                   ds: Optional[Dataset] = None) -> Optional[Dataset]:
+    """The dataset ``config.data`` names (``ds`` when the caller has read it
+    already), or None without one.  A dataset whose width is not ``config.d``
+    raises ConfigError keyed ``d``, naming both, before any map is built."""
+    if not config.data:
+        return None
+    if ds is None:
+        ds = load_csv(config.data)
+    if ds.d != config.d:
+        raise ConfigError(f"sweep config key 'd' is {config.d}, but "
+                          f"{config.data} has {ds.d} columns", key="d")
+    return ds
+
+
 def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
                      L: int = 8, level: int = 2, degree: int = 2,
                      data: Optional[Dataset] = None, pairs: int = 500,
@@ -401,7 +416,7 @@ def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
     """
     if isinstance(config, dict):
         config = SweepConfig.from_dict(config)
-    data = load_csv(config.data) if config.data else None
+    data = config_dataset(config)
     kernel = config.kernel()
     reports = []
     built: dict[tuple, FeatureMap | AnovaFeatureMap] = {}

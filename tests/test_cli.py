@@ -1,9 +1,13 @@
 """CLI surface tests; commands run in-process through main()."""
+import io
 import itertools
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 from quadfeat import cli, harness
 from quadfeat.cli import main
@@ -91,10 +95,12 @@ def _embed_rff(tmp_path, data_csv, name):
 def test_embed_streams_row_blocks(tmp_path, data_csv, monkeypatch):
     # 40 features a row: blocks of 70, 70 and 60 of the 200 rows
     monkeypatch.setattr(cli, "PHASE_BUFFER", 40 * 70)
-    out, expected = _embed_rff(tmp_path, data_csv, "blocks.csv")
-    assert len(out.read_text().splitlines()) == 200
-    np.testing.assert_allclose(np.loadtxt(out, delimiter=","), expected,
-                               rtol=0, atol=1e-15)
+    out, _ = _embed_rff(tmp_path, data_csv, "blocks.csv")
+    fm = build_method_map("rff", 4, 20, 0.5, 0)
+    rows = load_csv(data_csv).rows
+    blocks = [_savetxt_bytes(fm.embed_batch(rows[start:start + 70]))
+              for start in (0, 70, 140)]
+    assert out.read_bytes() == b"".join(blocks)
 
 
 def test_embed_in_one_block_matches_savetxt_bytes(tmp_path, data_csv):
@@ -102,6 +108,70 @@ def test_embed_in_one_block_matches_savetxt_bytes(tmp_path, data_csv):
     whole = tmp_path / "whole.csv"
     np.savetxt(whole, expected, delimiter=",")
     assert out.read_bytes() == whole.read_bytes()
+
+
+def _savetxt_bytes(Z) -> bytes:
+    fh = io.BytesIO()
+    np.savetxt(fh, Z, delimiter=",")
+    return fh.getvalue()
+
+
+def _written_bytes(Z) -> bytes:
+    fh = io.BytesIO()
+    cli._write_csv(fh, Z)
+    return fh.getvalue()
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+class TestWriteCsv:
+    """``cli._write_csv`` writes np.savetxt's default bytes, value by value."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_bit_patterns(self, seed):
+        # every exponent, both zeros, subnormals, infinities and nans; rows
+        # of 500 values, so the writer's chunks end inside rows
+        bits = np.random.default_rng(seed).integers(
+            0, 2**64, size=(400, 500), dtype=np.uint64)
+        Z = bits.view(np.float64)
+        Z[0, :8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    @pytest.mark.parametrize("values", [
+        10.0 ** np.arange(-300, 301),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+    ], ids=["powers_of_10", "powers_of_2"])
+    def test_powers_and_their_neighbours(self, values):
+        values = _with_neighbours(values)
+        for Z in (values.reshape(-1, 1), values.reshape(3, -1), -values.reshape(1, -1)):
+            assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    def test_exact_ties_round_to_even(self):
+        # j 2^-q with exactly 20 significant digits, the 20th a 5: '%.18e'
+        # rounds them half to even
+        ties = [j * 2.0**-q for q in range(1, 80) for j in range(1, 2**10, 2)
+                if len(Decimal(j * 2.0**-q).as_tuple().digits) == 20]
+        assert 2.0**-28 in ties and len(ties) > 500
+        Z = np.array(ties + [-t for t in ties]).reshape(-1, 20)
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+        assert _written_bytes(np.array([[2.0**-28]])) == b"3.725290298461914062e-09\n"
+
+    def test_exponent_one_step_from_log10(self):
+        # the rounded product |x| 10^(18 - floor(log10|x|)) of each lies on
+        # the other side of 1e18 from the unrounded one
+        Z = _with_neighbours([1e153, 1e-194, 1e-200]).reshape(1, -1)
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   min_side=0, max_side=40)
+                      .filter(lambda shape: shape[1] > 0)))
+    def test_any_float_array(self, Z):
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
 
 
 def test_embed_subsampled_merges_duplicates(tmp_path, data_csv):
@@ -184,6 +254,7 @@ def _no_builds(*args, **kwargs):
     (["--method", "sparse", "--level", "-1"], "level"),
     (["--method", "sparse", "--level", "9"], "level"),
     (["--method", "poly-exact", "--degree", "3"], "degree"), (["--seed", "-1"], "seeds"),
+    (["--d", "5"], "d"), (["--method", "reweighted", "--d", "5"], "d"),
 ])
 @pytest.mark.parametrize("command", ["build", "eval", "sweep", "embed"])
 def test_every_command_names_the_bad_key(command, flags, key, data_csv,
@@ -194,6 +265,20 @@ def test_every_command_names_the_bad_key(command, flags, key, data_csv,
     with pytest.raises(ConfigError) as exc:
         main(argv)
     assert exc.value.key == key
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "embed"])
+def test_anova_width_must_match_the_data(command, data_csv, tmp_path,
+                                         monkeypatch):
+    spec_path = tmp_path / "anova.json"
+    save_anova(random_anova(d=5, m=2, subset_size=2, gamma=0.5, seed=1),
+               str(spec_path))
+    monkeypatch.setattr(harness, "build_method_map", _no_builds)
+    with pytest.raises(ConfigError, match="is 5, but .* has 4 columns") as exc:
+        main([command, "--anova", str(spec_path), "--data", data_csv,
+              "--n-eval", "100", "--out", str(tmp_path / "out")])
+    assert exc.value.key == "d"
     assert not (tmp_path / "out").exists()
 
 
