@@ -15,8 +15,11 @@ structure.json`` switches eval, sweep and embed to the file's ANOVA kernel,
 which sets d and gamma; build refuses it.
 
 ``embed`` streams the features: it embeds and writes the rows in blocks
-of at most ``PHASE_BUFFER`` feature entries, so the features' memory does
-not grow with the number of rows (the dataset itself is read whole).  Each
+of at most ``EMBED_BLOCK`` (2^20) feature entries, so the features' memory
+does not grow with the number of rows (the dataset itself is read whole).
+Inside ``embed_batch`` each such block is worked through in smaller row
+blocks of at most ``featuremaps.BLOCK`` (2^15) phase entries, which stay
+in cache; that inner blocking does not change a bit of the features.  Each
 block is written as exactly the bytes of ``np.savetxt(fh, Z, delimiter=",")``
 for that block's embedding ``Z``: numpy's default ``'%.18e'``, commas
 between values and a newline after each row.  ``_write_csv`` produces them
@@ -38,7 +41,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .featuremaps import PHASE_BUFFER, save_feature_map
+from .featuremaps import save_feature_map
 from .harness import (
     CLI_METHODS,
     SweepConfig,
@@ -48,6 +51,9 @@ from .harness import (
     reports_to_csv,
     sweep,
 )
+
+# feature entries ``embed`` embeds and writes at once
+EMBED_BLOCK = 2**20
 
 # (flag, sweep config key, element type, default, help).  Flags left unset
 # take SweepConfig's defaults.  With --anova, the structure file sets d and
@@ -152,7 +158,7 @@ def cmd_embed(args) -> int:
     fm = _one_map(cfg, config_dataset(cfg, ds))
     out = args.out or "features.csv"
     n, width = ds.rows.shape[0], 2 * fm.count
-    block = max(1, PHASE_BUFFER // max(1, width))
+    block = max(1, EMBED_BLOCK // max(1, width))
     with open(out, "wb") as fh:
         for start in range(0, n, block):
             _write_csv(fh, fm.embed_batch(ds.rows[start:start + block]))

@@ -21,16 +21,26 @@ a few eps times sum_i |a_i|.  The explicit real embedding
 
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 Feature counts are always quoted as D quadrature points (the embedding has
-2D real coordinates).  Every embedding is written once, into its final
-columns: the half-phases w_i'x / 2 go straight into the sine half of the
-output, both halves are taken from their one tangent t by
-cos x = 2 / (1 + t^2) - 1 and sin x = 2t / (1 + t^2) (``_cos_from_half``
-again), and both are scaled in place, so the peak allocation is the
-(n, 2D) output itself.  Each feature lies within 4 eps sqrt(a_i)
-(absolute) of the np.cos/np.sin formula above.  Callers may
-pass that output (``out=``), for instance a column slice of a wider array
-or an ``np.memmap``; an ANOVA map hands each sub-map its slice of one
-composite output.
+2D real coordinates).  Plain and ANOVA maps share one embedding kernel
+(``_embed``), in which a plain map is one part and an ANOVA map has one
+part per sub-map.  Each part first writes its half-phases w_i'x / 2, one
+product over the whole input, into the sine columns of the output; a
+product per row block would change their last bits.  Then the rows are
+taken in blocks of at most ``BLOCK`` phase entries: a block's half-phases
+of every part are gathered into one contiguous scratch array, both halves
+come from their one tangent t by cos x = 2 / (1 + t^2) - 1 and
+sin x = 2t / (1 + t^2) (``_cos_from_half`` again), are scaled by sqrt(a_i)
+and are written back to their final columns.  The passes are blocked
+because numpy's tangent is about a third slower on the strided columns of
+the output than on a contiguous array, and because each of the passes over
+an output larger than the cache would go to memory; a block's two scratch
+arrays stay in a core's L2 cache.  So the peak allocation is the (n, 2D)
+output plus a fixed scratch of 2 ``BLOCK`` entries (more only when one row
+holds more than ``BLOCK`` points).  Each feature lies within 4 eps
+sqrt(a_i) (absolute) of the np.cos/np.sin formula above.  Callers may pass
+that output (``out=``), for instance a column slice of a wider array or an
+``np.memmap``.  Inputs with a NaN or infinite entry are refused, naming the
+first such row, before anything is written.
 
 The baselines are random Fourier features (i.i.d. normal points) and QMC
 features, Halton points mapped through ``statistics.NormalDist``'s quantile.
@@ -63,8 +73,14 @@ METHOD_TAGS = {"rff": "rff", "qmc": "qmc", "dense": "dense", "sparse": "sparse",
                "subsampled": "subsampled", "poly-exact": "poly_exact",
                "reweighted": "reweighted"}
 
-# phase entries (displacements x points) the generic estimator holds at once
-PHASE_BUFFER = 2**20
+# phase entries (rows x points) one blocked pass holds at once: the generic
+# estimator's buffer, and each of the embedding kernel's two scratch arrays
+BLOCK = 2**15
+
+
+def _block_rows(count: int) -> int:
+    """Rows of ``count`` points each that one block of ``BLOCK`` entries holds."""
+    return max(1, BLOCK // max(1, count))
 
 
 class _MapShell:
@@ -78,13 +94,18 @@ class _MapShell:
 
     def _rows(self, u, what: str = "displacements") -> tuple[np.ndarray, bool]:
         """``u`` as an (n, d) float array, and whether it was one (d,) row;
-        other ranks and widths are refused."""
+        other ranks and widths, and NaN or infinite entries, are refused."""
         u = np.asarray(u, dtype=float)
         if u.ndim not in (1, 2):
             raise ValueError(f"{what} must have shape ({self.d},) or "
                              f"(n, {self.d}), got shape {u.shape}")
         self._check_width(u.shape[-1])
-        return np.atleast_2d(u), u.ndim == 1
+        U = np.atleast_2d(u)
+        finite = np.isfinite(U).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{what} must be finite; row "
+                             f"{np.argmin(finite)} is not")
+        return U, u.ndim == 1
 
     def approx_kernel(self, x: np.ndarray, y: np.ndarray) -> float:
         """k~(x, y) = k~(x - y)."""
@@ -140,7 +161,8 @@ class FeatureMap(_MapShell):
         """k~ at displacement(s) u, shape (d,) or (n, d).
 
         Factored from ``grid.structure`` when the grid has one, otherwise
-        summed over the points.
+        summed over the points.  A NaN or infinite displacement raises
+        ValueError naming its row.
         """
         U, single = self._rows(u)
         if self.grid.structure is not None:
@@ -153,7 +175,7 @@ class FeatureMap(_MapShell):
     def _approx_points(self, U: np.ndarray) -> np.ndarray:
         # the buffer takes the half-phases w_i'u / 2 (halving is exact) and
         # then their doubled-angle cosines, from numpy's vectorized tangent
-        rows = max(1, min(U.shape[0], PHASE_BUFFER // max(1, self.count)))
+        rows = max(1, min(U.shape[0], _block_rows(self.count)))
         F = 0.5 * self.frequencies.T
         P = np.empty((rows, self.count))
         out = np.empty(U.shape[0])
@@ -173,29 +195,52 @@ class FeatureMap(_MapShell):
         The features are written into ``out`` when it is given (a float64
         array of shape (n, 2D); strided views and memmaps are fine), else
         into a new array, and that array is returned.  Inputs are checked
-        before anything is written.  Each feature lies within 4 eps sqrt(a_i)
-        of the np.cos/np.sin formula.
+        (shape, width, and that every entry is finite) before anything is
+        written.  Each feature lies within 4 eps sqrt(a_i) of the
+        np.cos/np.sin formula.
         """
         X, _ = self._rows(X, "inputs")
-        s = self._sqrt_weights
-        out = _embedding_output(out, (X.shape[0], 2 * self.count))
-        # the half-phases w_i'x / 2 go into the sine half, and both halves
-        # come from their one tangent
-        cos, sin = out[:, :self.count], out[:, self.count:]
-        np.matmul(X, 0.5 * self.frequencies.T, out=sin)
-        _cos_from_half(sin, cos)
-        cos *= s
-        sin *= s
-        return out
+        return _embed(X, ((slice(None), self),), out)
 
 
-def _embedding_output(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """``out`` checked against ``shape``, or a new array of that shape."""
+def _embed(X: np.ndarray, parts, out: np.ndarray | None) -> np.ndarray:
+    """The embeddings of ``parts``, (input columns, FeatureMap) pairs, side
+    by side: part p takes X[:, columns] and fills the next 2 count_p
+    columns of ``out`` (checked, or a new array), cosines then sines.
+
+    The half-phases go into the sine columns by one product per part over
+    the whole input; then, a block of rows at a time, all parts' half-phases
+    are gathered into one contiguous scratch array, turned into both halves
+    and scaled there, and written back.
+    """
+    s = np.concatenate([fm._sqrt_weights for _, fm in parts])  # signed maps refuse here
+    n, total = X.shape[0], s.size
     if out is None:
-        return np.empty(shape)
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 \
-            or out.shape != shape:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
+        out = np.empty((n, 2 * total))
+    elif not isinstance(out, np.ndarray) or out.dtype != np.float64 \
+            or out.shape != (n, 2 * total):
+        raise ValueError(f"out must be a float64 array of shape {(n, 2 * total)}")
+    spans = []  # (sine columns of out, cosine columns of out, scratch columns)
+    start = 0
+    for columns, fm in parts:
+        cos = slice(2 * start, 2 * start + fm.count)
+        sin = slice(cos.stop, cos.stop + fm.count)
+        np.matmul(X[:, columns], 0.5 * fm.frequencies.T, out=out[:, sin])
+        spans.append((sin, cos, slice(start, start + fm.count)))
+        start += fm.count
+    rows = max(1, min(n, _block_rows(total)))
+    H, C = np.empty((rows, total)), np.empty((rows, total))
+    for first in range(0, n, rows):
+        block = out[first:first + rows]
+        h, c = H[:block.shape[0]], C[:block.shape[0]]
+        for sin, _, part in spans:
+            h[:, part] = block[:, sin]
+        _cos_from_half(h, c)
+        c *= s
+        h *= s
+        for sin, cos, part in spans:
+            block[:, cos] = c[:, part]
+            block[:, sin] = h[:, part]
     return out
 
 
@@ -319,29 +364,27 @@ class AnovaFeatureMap(_MapShell):
     def count(self) -> int:
         return sum(fm.count for _, fm in self.sub_maps)
 
+    @cached_property
+    def _parts(self) -> tuple[tuple[np.ndarray, FeatureMap], ...]:
+        """Each sub-map with the 0-based input columns of its subset."""
+        return tuple((np.array(S) - 1, fm) for S, fm in self.sub_maps)
+
     def approx(self, u: np.ndarray) -> float | np.ndarray:
         """The sum of the sub-map estimates at displacement(s) u, shape (d,)
         or (n, d)."""
         U, single = self._rows(u)
         total = np.zeros(U.shape[0])
-        for S, fm in self.sub_maps:
-            total += fm.approx(U[:, np.array(S) - 1])
+        for columns, fm in self._parts:
+            total += fm.approx(U[:, columns])
         return float(total[0]) if single else total
 
     def embed_batch(self, X: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """The sub-map embeddings side by side, each written by its sub-map
-        into its own columns of one (n, 2 * count) output."""
+        """The sub-map embeddings side by side in one (n, 2 * count) output,
+        bitwise what each sub-map's ``embed_batch`` gives; ``out`` and the
+        checks are as for ``FeatureMap.embed_batch``."""
         X, _ = self._rows(X, "inputs")
-        for _, fm in self.sub_maps:
-            fm._sqrt_weights  # a signed sub-map refuses before anything is written
-        out = _embedding_output(out, (X.shape[0], 2 * self.count))
-        start = 0
-        for S, fm in self.sub_maps:
-            stop = start + 2 * fm.count
-            fm.embed_batch(X[:, np.array(S) - 1], out=out[:, start:stop])
-            start = stop
-        return out
+        return _embed(X, self._parts, out)
 
 
 def anova_compose(kernel: AnovaKernel,

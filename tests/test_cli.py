@@ -94,7 +94,7 @@ def _embed_rff(tmp_path, data_csv, name):
 
 def test_embed_streams_row_blocks(tmp_path, data_csv, monkeypatch):
     # 40 features a row: blocks of 70, 70 and 60 of the 200 rows
-    monkeypatch.setattr(cli, "PHASE_BUFFER", 40 * 70)
+    monkeypatch.setattr(cli, "EMBED_BLOCK", 40 * 70)
     out, _ = _embed_rff(tmp_path, data_csv, "blocks.csv")
     fm = build_method_map("rff", 4, 20, 0.5, 0)
     rows = load_csv(data_csv).rows

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfeat.featuremaps import (
-    PHASE_BUFFER,
     FeatureMap,
+    _block_rows,
     anova_compose,
     feature_map_from_json,
     feature_map_to_json,
@@ -178,7 +178,7 @@ class TestFactoredMatchesArrayForm:
 class TestGenericBlocks:
     def test_partial_last_block_matches_row_by_row(self):
         fm = rff(4, 1000, 0.5, seed=0)
-        rows = PHASE_BUFFER // fm.count
+        rows = _block_rows(fm.count)
         U = displacement_sample(4, 2.0, 2 * rows + 17, seed=3)
         by_row = np.array([fm.approx(u) for u in U])
         assert np.abs(fm.approx(U) - by_row).max() <= 1e-15

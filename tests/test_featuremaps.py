@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from quadfeat.errors import ConfigError, EmbeddingUnsupportedError
 from quadfeat.featuremaps import (
+    AnovaFeatureMap,
     FeatureMap,
+    _block_rows,
     _primes,
     anova_compose,
     embed_grid_fast,
@@ -386,6 +388,76 @@ class TestEmbedBatch:
             with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
                 fm.embed_batch(np.zeros(shape), out=out)
         assert out is None or (out == 3.0).all()
+
+
+def _uneven_anova_map() -> AnovaFeatureMap:
+    """Sub-maps of 57, 1 and 20 points, so the parts of a row block differ."""
+    return AnovaFeatureMap((((1, 3), rff(2, 57, 0.5, seed=1)),
+                            ((2, 3, 4), rff(3, 1, 0.5, seed=2)),
+                            ((4,), qmc_halton(1, 20, 0.5))), 4)
+
+
+BLOCK_MAPS = {"plain": lambda: rff(3, 75, 0.5, seed=24), "anova": _uneven_anova_map}
+
+
+def _reference_embedding(fm, X: np.ndarray) -> np.ndarray:
+    """``_tangent_embedding`` of a plain map, or of each sub-map side by side."""
+    if isinstance(fm, FeatureMap):
+        return _tangent_embedding(fm, X)
+    return np.hstack([_tangent_embedding(sub, X[:, np.array(S) - 1])
+                      for S, sub in fm.sub_maps])
+
+
+class TestEmbedRowBlocks:
+    # the embedding kernel takes its rows in blocks of _block_rows(count)
+    @pytest.mark.parametrize("kind", sorted(BLOCK_MAPS))
+    @pytest.mark.parametrize("rows", ["1", "r-1", "r", "2r+17"])
+    def test_bitwise_across_block_boundaries(self, kind, rows):
+        fm = BLOCK_MAPS[kind]()
+        r = _block_rows(fm.count)
+        n = {"1": 1, "r-1": r - 1, "r": r, "2r+17": 2 * r + 17}[rows]
+        X = np.random.default_rng(n).standard_normal((n, fm.d))
+        expected = _reference_embedding(fm, X)
+        np.testing.assert_array_equal(fm.embed_batch(X), expected)
+        # every other row and an inner band of columns of a wider array
+        wide = np.full((2 * n, 2 * fm.count + 5), 7.0)
+        view = wide[::2, 3:3 + 2 * fm.count]
+        assert fm.embed_batch(X, out=view) is view
+        np.testing.assert_array_equal(view, expected)
+        assert (wide[1::2] == 7.0).all()
+        assert (wide[:, :3] == 7.0).all() and (wide[:, -2:] == 7.0).all()
+
+    def test_anova_approx_across_a_block_boundary_matches_row_by_row(self):
+        fm = _uneven_anova_map()
+        rows = _block_rows(max(sub.count for _, sub in fm.sub_maps))
+        U = np.random.default_rng(25).uniform(-2.0, 2.0, (2 * rows + 17, fm.d))
+        by_row = np.array([fm.approx(u) for u in U])
+        assert np.abs(fm.approx(U) - by_row).max() <= 1e-15
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("kind", sorted(BLOCK_MAPS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_first_bad_row_is_named_before_out_is_written(self, kind, bad):
+        fm = BLOCK_MAPS[kind]()
+        X = np.random.default_rng(26).standard_normal((6, fm.d))
+        X[4, fm.d - 1] = bad
+        X[5, 0] = bad
+        out = np.full((6, 2 * fm.count), 3.0)
+        with pytest.raises(ValueError, match="inputs must be finite; row 4 is not"):
+            fm.embed_batch(X, out=out)
+        assert (out == 3.0).all()
+        with pytest.raises(ValueError, match="displacements must be finite; row 4 "):
+            fm.approx(X)
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_MAPS))
+    def test_single_rows_are_checked(self, kind):
+        fm = BLOCK_MAPS[kind]()
+        x = np.zeros(fm.d)
+        x[0] = math.nan
+        for call in (fm.embed, fm.approx, lambda v: fm.approx_kernel(v, np.zeros(fm.d))):
+            with pytest.raises(ValueError, match="row 0 is not"):
+                call(x)
 
 
 class TestEmbedGridFast:
