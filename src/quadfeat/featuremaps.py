@@ -20,12 +20,17 @@ a few eps times sum_i |a_i|.  The explicit real embedding
     z(x) = [sqrt(a_i) cos(w_i'x)]_i ++ [sqrt(a_i) sin(w_i'x)]_i
 
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
-Feature counts are always quoted as D quadrature points (the embedding has
-2D real coordinates).  Plain and ANOVA maps share one embedding kernel
-(``_embed``), in which a plain map is one part and an ANOVA map has one
-part per sub-map.  Each part first writes its half-phases w_i'x / 2, one
-product over the whole input, into the sine columns of the output; a
-product per row block would change their last bits.  Then the rows are
+A map's feature count D is its number of cosine terms, and its embedding
+has 2D real coordinates.  That is the grid's point count, except for a
+mirror rule (``GridQuadrature.mirror``, the sign-symmetric poly-exact
+rules): its 2D points [P; -P] with weights [a/2; a/2] give the same
+estimate as the D cosines of (P, a), so the map reads the record once and
+estimates and embeds with P and a alone.  Plain and ANOVA maps share one
+embedding kernel (``_embed``), in which a plain map is one part and an
+ANOVA map has one part per sub-map.  Each part first writes its
+half-phases w_i'x / 2, one product over the whole input, into the sine
+columns of the output; a product per row block would change their last
+bits.  Then the rows are
 taken in blocks of at most ``BLOCK`` phase entries: a block's half-phases
 of every part are gathered into one contiguous scratch array, both halves
 come from their one tangent t by cos x = 2 / (1 + t^2) - 1 and
@@ -36,14 +41,14 @@ the output than on a contiguous array, and because each of the passes over
 an output larger than the cache would go to memory; a block's two scratch
 arrays stay in a core's L2 cache.  So the peak allocation is the (n, 2D)
 output plus a fixed scratch of 2 ``BLOCK`` entries (more only when one row
-holds more than ``BLOCK`` points).  Each feature lies within 4 eps
+holds more than ``BLOCK`` cosine terms).  Each feature lies within 4 eps
 sqrt(a_i) (absolute) of the np.cos/np.sin formula above.  Callers may pass
 that output (``out=``), for instance a column slice of a wider array or an
 ``np.memmap``.  Inputs with a NaN or infinite entry are refused, naming the
 first such row, before anything is written.
 
 The baselines are random Fourier features (i.i.d. normal points) and QMC
-features, Halton points mapped through ``statistics.NormalDist``'s quantile.
+features, Halton points mapped through the normal quantile (``inv_norm_cdf``).
 """
 from __future__ import annotations
 
@@ -52,7 +57,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -141,13 +145,30 @@ class FeatureMap(_MapShell):
     def d(self) -> int:
         return self.grid.d
 
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points and weights of the estimate's cosine terms: the grid's
+        own, or for a mirror rule [P; -P], [a/2; a/2] the pair (P, a), since
+        a/2 cos(p'u) + a/2 cos(-p'u) = a cos(p'u)."""
+        g = self.grid
+        if not g.mirror:
+            return g.points, g.weights
+        h = g.count // 2
+        return g.points[:h], 2.0 * g.weights[:h]
+
     @property
     def count(self) -> int:
-        return self.grid.count
+        """D, the number of cosine terms (half the points of a mirror rule)."""
+        return self._terms[0].shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight a_i of each cosine term, in the order of ``frequencies``."""
+        return self._terms[1]
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        return self.grid.points * math.sqrt(2.0 * self.gamma)
+        return self._terms[0] * math.sqrt(2.0 * self.gamma)
 
     @cached_property
     def _sqrt_weights(self) -> np.ndarray:
@@ -155,14 +176,14 @@ class FeatureMap(_MapShell):
             raise EmbeddingUnsupportedError(
                 "negative quadrature weights admit no real embedding; "
                 "use approx_kernel instead")
-        return np.sqrt(self.grid.weights)
+        return np.sqrt(self.weights)
 
     def approx(self, u: np.ndarray) -> float | np.ndarray:
         """k~ at displacement(s) u, shape (d,) or (n, d).
 
         Factored from ``grid.structure`` when the grid has one, otherwise
-        summed over the points.  A NaN or infinite displacement raises
-        ValueError naming its row.
+        summed over the ``count`` cosine terms.  A NaN or infinite
+        displacement raises ValueError naming its row.
         """
         U, single = self._rows(u)
         if self.grid.structure is not None:
@@ -184,13 +205,14 @@ class FeatureMap(_MapShell):
             half = P[:block.shape[0]]
             np.matmul(block, F, out=half)
             _cos_from_half(half)
-            out[start:start + rows] = half @ self.grid.weights
+            out[start:start + rows] = half @ self.weights
         return out
 
     def embed_batch(self, X: np.ndarray, *,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Row-wise real features [sqrt(a) cos(w'x)] ++ [sqrt(a) sin(w'x)]
-        of an (n, d) data matrix, giving (n, 2D).
+        of an (n, d) data matrix over the D = ``count`` cosine terms, giving
+        (n, 2D).
 
         The features are written into ``out`` when it is given (a float64
         array of shape (n, 2D); strided views and memmaps are fine), else
@@ -298,16 +320,69 @@ def halton_points(d: int, D: int) -> np.ndarray:
     return r
 
 
-_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+# Wichura's AS 241 (PPND16) rational approximations, numerator and
+# denominator coefficients from the highest power down, for |p - 0.5| <= 0.425
+# in r = 0.180625 - (p - 0.5)^2, and in the tails in r = sqrt(-log(min(p,
+# 1 - p))) - 1.6 for r <= 5 and r - 5 beyond
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _horner(coefficients, r: np.ndarray) -> np.ndarray:
+    """The polynomial of ``coefficients`` (highest power first) at r."""
+    acc = coefficients[0] * r + coefficients[1]
+    for c in coefficients[2:]:
+        acc *= r
+        acc += c
+    return acc
 
 
 def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile, elementwise, by ``statistics.NormalDist``
-    (Wichura's AS 241, accurate to about 1e-16 relative)."""
+    """Standard normal quantile, elementwise: Wichura's AS 241 (1988),
+    accurate to about 1e-16 relative, on whole arrays in the operation
+    order of ``statistics.NormalDist.inv_cdf``.  Each value is within two
+    ulp of it, and equal wherever numpy's ``log`` and ``sqrt`` round as
+    libm's do."""
     p = np.asarray(p, dtype=float)
     if ((p <= 0) | (p >= 1)).any():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    return _inv_cdf(p)
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num, den = _AS241_CENTRAL
+    x[central] = _horner(num, r) * qc / _horner(den, r)
+    tail = ~central
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[tail], 1.0 - p[tail])))
+    xt = np.empty_like(r)
+    near = r <= 5.0
+    for part, shift, (num, den) in ((near, 1.6, _AS241_NEAR),
+                                    (~near, 5.0, _AS241_FAR)):
+        s = r[part] - shift
+        xt[part] = _horner(num, s) / _horner(den, s)
+    x[tail] = np.where(qt < 0.0, -xt, xt)
+    return x
 
 
 def qmc_halton(d: int, D: int, gamma: float) -> FeatureMap:
@@ -395,7 +470,8 @@ def anova_compose(kernel: AnovaKernel,
     ``constructor(dim, D_S)`` must return a FeatureMap over ``dim``
     dimensions; the composite estimate is the sum of sub-map estimates on
     the restricted coordinates, and the embedding is their concatenation
-    (total length sum over S of 2 D_S).
+    (total length twice the sum of the sub-maps' ``count``: 2 D_S per
+    subset for sub-maps of D_S cosine terms, such as rff).
     """
     sub_maps = tuple((S, constructor(len(S), D_S)) for S in kernel.subsets)
     return AnovaFeatureMap(sub_maps, kernel.d)
@@ -418,8 +494,10 @@ def feature_map_from_json(payload: dict) -> FeatureMap:
 
 
 def save_feature_map(fm: FeatureMap, path: str) -> None:
+    # one write of the whole text: json.dump writes it in thousands of pieces,
+    # which takes about twice as long for a poly-exact map's points
     with open(path, "w") as fh:
-        json.dump(feature_map_to_json(fm), fh)
+        fh.write(json.dumps(feature_map_to_json(fm)))
 
 
 def load_feature_map(path: str) -> FeatureMap:

@@ -21,10 +21,14 @@ level-A grid is the 2^A-point Gauss rule itself.
 without touching the points; each one-dimensional sum folds the rule's
 mirror pairs, so an L-point rule costs floor(L/2) cosines.  The record is
 not serialized, and every grid derived from another (subsampled,
-reweighted, loaded) carries none.  Weight-proportional subsampling draws
-points i.i.d. with probability proportional to weight, 1/D per draw,
-merging duplicates; a lattice variant draws from the tensor-product law,
-so grids far beyond the materialization cap can still be subsampled.
+reweighted, loaded) carries none.  The ``mirror`` record of a
+sign-symmetric rule [P; -P], [a/2; a/2] (the poly-exact rules) is
+serialized, as ``"mirror": true``, and checked against the points and
+weights wherever a grid is made with it.  Weight-proportional
+subsampling draws points i.i.d. with probability proportional to weight,
+1/D per draw, merging duplicates; a lattice variant draws from the
+tensor-product law, so grids far beyond the materialization cap can
+still be subsampled.
 
 Every cosine of the kernel estimate, here and on the generic path in
 ``featuremaps``, and both halves of every embedding come from
@@ -60,12 +64,16 @@ class GridQuadrature:
     data-reweighted one, whose least-squares objective sets the scale).
     ``structure`` is set only by ``dense_grid`` (``("dense", L)``) and
     ``sparse_grid`` (``("sparse", A)``); see ``structured_cos_sum``.
+    ``mirror`` records a sign-symmetric rule, points [P; -P] with weights
+    [a/2; a/2] (checked bitwise), whose odd moments vanish by construction;
+    its kernel estimate sum_i a_i cos(p_i'u) needs only the h rows of P.
     """
 
     points: np.ndarray
     weights: np.ndarray
     provenance: str = ""
     normalized: bool = True
+    mirror: bool = False
     structure: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -80,6 +88,8 @@ class GridQuadrature:
         # an empty rule can only come out of reweighting, which is unnormalized
         if self.normalized and abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-10")
+        if self.mirror and (problem := _mirror_problem(pts, w)):
+            raise ValueError(problem)
         _check_unique_rows(pts)
         pts.setflags(write=False)
         w.setflags(write=False)
@@ -97,6 +107,19 @@ class GridQuadrature:
     @property
     def nonnegative(self) -> bool:
         return bool(self.count == 0 or self.weights.min() >= 0.0)
+
+
+def _mirror_problem(points: np.ndarray, weights: np.ndarray) -> str | None:
+    """Why points and weights are not a mirror rule [P; -P], [a/2; a/2], or
+    None if they are."""
+    h, rest = divmod(points.shape[0], 2)
+    if rest:
+        return f"a mirror rule has an even point count, not {points.shape[0]}"
+    if not (points[h:] == -points[:h]).all():
+        return "a mirror rule's second half of points must negate its first"
+    if not (weights[h:] == weights[:h]).all():
+        return "a mirror rule's twins w, -w must have equal weights"
+    return None
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
@@ -301,9 +324,13 @@ def subsample_dense_grid(L: int, d: int, D: int, seed: int) -> GridQuadrature:
     )
 
 
-def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP):
-    """All exponent vectors r in N^d with sum(r) <= R, after a size check."""
-    n_constraints = math.comb(d + R, d)
+def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP,
+                         even: bool = False):
+    """All exponent vectors r in N^d with sum(r) <= R, or with ``even`` only
+    those of even sum(r), after a size check."""
+    step = 2 if even else 1
+    # C(d - 1 + k, k) vectors of total degree k; all of them sum to C(d + R, d)
+    n_constraints = sum(math.comb(d - 1 + k, k) for k in range(0, R + 1, step))
     if n_constraints > cap:
         raise GridSizeError(
             f"{n_constraints} moment constraints exceed the cap {cap}",
@@ -312,7 +339,7 @@ def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP):
         )
     levels = _by_level([[()]] + [[]] * R, d, lambda rs, m, j: [r + (m,) for r in rs],
                        lambda parts: [r for part in parts for r in part])
-    return sorted(r for level in levels for r in level)
+    return sorted(r for level in levels[::step] for r in level)
 
 
 def _max_degree(indices) -> int:
@@ -364,9 +391,10 @@ def hermite_matrix(points: np.ndarray, indices) -> np.ndarray:
 
 def moment_targets(indices) -> np.ndarray:
     """Analytic normal moments prod_l (r_l - 1)!! (zero when any r_l is odd)."""
-    return np.array(
-        [math.prod(normal_moment(rl) for rl in r) for r in indices]
-    )
+    moments = np.array([normal_moment(k) for k in range(_max_degree(indices) + 1)])
+    # integer factors whose products stay below 2^53 through R = 30, so
+    # every product is exact in any order
+    return moments[np.array(indices, dtype=np.intp)].prod(axis=1)
 
 
 def exactness_residual(
@@ -382,7 +410,9 @@ def exactness_residual(
 
 
 def grid_to_json(g: GridQuadrature) -> dict:
-    return {
+    """The grid as a JSON object; ``"D"`` is the point count, and a mirror
+    rule adds ``"mirror": true``."""
+    payload = {
         "d": g.d,
         "D": g.count,
         "points": g.points.tolist(),
@@ -390,6 +420,9 @@ def grid_to_json(g: GridQuadrature) -> dict:
         "nonnegative": g.nonnegative,
         "provenance": g.provenance,
     }
+    if g.mirror:
+        payload["mirror"] = True
+    return payload
 
 
 def _finite_array(value) -> np.ndarray:
@@ -406,10 +439,17 @@ def _point_rows(value) -> np.ndarray:
     return points
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def grid_from_json(payload: dict) -> GridQuadrature:
     """The grid of a ``grid_to_json`` payload.  A missing, ill-typed or
-    non-finite field, a repeated point, or a ``d``, ``D`` or ``weights``
-    unlike the points raises ConfigError."""
+    non-finite field, a repeated point, a ``d``, ``D`` or ``weights``
+    unlike the points, or a ``mirror`` the points and weights do not bear
+    out raises ConfigError.  A payload without ``mirror`` is no mirror rule."""
     field = functools.partial(config_field, payload, where="grid file")
     points = field("points", _point_rows)
     d, D = field("d", operator.index), field("D", operator.index)
@@ -421,10 +461,14 @@ def grid_from_json(payload: dict) -> GridQuadrature:
         if value != size:
             raise ConfigError(f"grid file: field {key!r} gives {value}, but the "
                               f"points give {size}", key=key)
+    mirror = field("mirror", _flag) if "mirror" in payload else False
+    if mirror and (problem := _mirror_problem(points, weights)):
+        raise ConfigError(f"grid file: field 'mirror': {problem}", key="mirror")
     try:
         return GridQuadrature(points, weights,
                               provenance=str(payload.get("provenance", "")),
-                              normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10)
+                              normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10,
+                              mirror=mirror)
     except ValueError as exc:  # all the grid checks beyond the above: repeated rows
         raise ConfigError(f"grid file: field 'points': {exc}", key="points") from None
 

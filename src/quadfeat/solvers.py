@@ -12,11 +12,13 @@ enter non-positive, is passed over for that step, as in Lawson & Hanson
 On top of it sit
 
 * ``construct_poly_exact``: random spectral candidates reweighted to match
-  every normal moment of total degree <= R.  The system is written in the
-  orthonormal Hermite basis (row r is prod_l He_{r_l}(w_l) / sqrt(r_l!),
-  right-hand side e_0), which has the exact solutions of the monomial
-  system but is far better conditioned, so Lawson-Hanson takes fewer
-  steps; the kept rule is checked against the monomial moments, and
+  every normal moment of even total degree <= R, emitted as the
+  sign-symmetric rule [P; -P], [a/2; a/2], whose odd moments vanish by
+  symmetry.  The system is written in the orthonormal Hermite basis (row r
+  is prod_l He_{r_l}(w_l) / sqrt(r_l!), right-hand side e_0), which has the
+  exact solutions of the monomial system but is far better conditioned, so
+  Lawson-Hanson takes fewer steps; the rule is checked against every
+  monomial moment, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared kernel error over sampled pairs, with an optional l1 penalty,
   and ``bisect_lambda``, which picks the penalty for a target support
@@ -256,21 +258,28 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
 
 
 def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
-    """Polynomially-exact rule from random candidates.
+    """Polynomially-exact rule from random candidates, symmetric in sign.
 
     Draws D i.i.d. standard-normal candidate points and solves, by NNLS,
-    the moment system in the orthonormal Hermite basis: one row
-    prod_l h_{r_l}(w_l) per exponent vector r of total degree <= R
+    the moment system in the orthonormal Hermite basis over the exponent
+    vectors r of even total degree <= R: one row prod_l h_{r_l}(w_l) per r
     (``grids.hermite_matrix``), right-hand side e_0, the normal expectation
-    of each row.  Its rows are a triangular recombination of the monomial
-    rows, whose right-hand side is the analytic normal moment, so both
-    systems have the same exact solutions; the Hermite one is far better
-    conditioned (Sommariva & Vianello 2015).  Candidates with zero weight
-    are dropped.  The kept rule is checked in the monomial basis: raises
-    ConstructionError, carrying the achieved residual, when its
-    ``exactness_residual`` exceeds ``POLY_EXACT_TOL``, or when the weight
-    sum is off by more than the 1e-10 that ``GridQuadrature`` allows; the
-    caller may raise D and retry.
+    of each row.  Its rows are a triangular recombination of the even
+    monomial rows, whose right-hand side is the analytic normal moment, so
+    both systems have the same exact solutions; the Hermite one is far
+    better conditioned (Sommariva & Vianello 2015).  The odd rows are left
+    out because k~(u) = sum_i a_i cos(w_i'u) is even in every w_i: the odd
+    moments never reach the estimate, nor the Taylor argument of
+    ``bounds.poly_bound``.  The h candidates P with positive weight a
+    (h <= the number of rows) become the mirror rule [P; -P] with weights
+    [a/2; a/2], whose odd moments vanish by symmetry, so it is exact for
+    every monomial of degree <= R.  Its 2h points carry the ``mirror``
+    record, and a ``FeatureMap`` of it estimates and embeds with the h
+    cosines of (P, a): the map's D (``count``) is h.  The rule is checked in the
+    monomial basis: raises ConstructionError, carrying the achieved
+    residual, when its ``exactness_residual`` exceeds ``POLY_EXACT_TOL``,
+    or when the weight sum is off by more than the 1e-10 that
+    ``GridQuadrature`` allows; the caller may raise D and retry.
     """
     if d < 1 or D < 1:
         raise ValueError("d and D must be positive")
@@ -278,28 +287,31 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
         raise ValueError("R must be a non-negative even integer")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((D, d))
-    indices = moment_multi_indices(d, R)
+    indices = moment_multi_indices(d, R, even=True)
     target = np.zeros(len(indices))
     target[0] = 1.0  # indices[0] is r = 0, the weight sum
     # with D >= #constraints an exact fit exists; drive the KKT pass hard
     # so the weight sum lands within the grid invariant
     sol = nnls(hermite_matrix(points, indices), target, tol=1e-13)
     keep = sol.a > 0.0
-    kept = GridQuadrature(points[keep], sol.a[keep], normalized=False)
-    residual = exactness_residual(kept, R)
+    half = 0.5 * sol.a[keep]
+    mirrored = (np.concatenate([points[keep], -points[keep]]),
+                np.concatenate([half, half]))
+    residual = exactness_residual(
+        GridQuadrature(*mirrored, normalized=False, mirror=True), R)
     if residual > POLY_EXACT_TOL:
         raise ConstructionError(
             f"poly-exact construction reached residual {residual:.3e} "
             f"> {POLY_EXACT_TOL:.1e} (d={d}, R={R}, D={D})",
             residual=residual)
-    weight_gap = float(kept.weights.sum()) - 1.0
+    weight_gap = float(mirrored[1].sum()) - 1.0
     if abs(weight_gap) > 1e-10:
         raise ConstructionError(
             f"poly-exact weights sum to 1 {weight_gap:+.3e}, beyond the 1e-10 "
             f"a normalized rule allows (d={d}, R={R}, D={D})",
             residual=abs(weight_gap))
     return GridQuadrature(
-        kept.points, kept.weights,
+        *mirrored, mirror=True,
         provenance=f"poly_exact(d={d}, R={R}, D={D}, seed={seed}, "
                    f"residual={residual:.3e})")
 

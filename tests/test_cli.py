@@ -41,6 +41,18 @@ def test_build_writes_feature_map(tmp_path, capsys):
     assert payload["method"] == "rff"
     assert payload["D"] == 16
     assert len(payload["points"]) == 16
+    assert capsys.readouterr().out == f"wrote {out}: method=rff d=3 D=16\n"
+
+
+def test_build_names_cosine_terms_and_points_of_a_mirror_rule(tmp_path, capsys):
+    out = tmp_path / "pe.json"
+    assert main(["build", "--method", "poly-exact", "--d", "3", "--D", "100",
+                 "--degree", "2", "--seed", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    h = payload["D"] // 2
+    assert payload["mirror"] is True and payload["D"] == len(payload["points"])
+    assert capsys.readouterr().out == (f"wrote {out}: method=poly_exact d=3 "
+                                       f"D={h} ({2 * h} points, sign-symmetric)\n")
 
 
 def test_eval_prints_report_row(capsys):

@@ -138,6 +138,31 @@ class TestInverseNormalCdf:
         with pytest.raises(ValueError):
             inv_norm_cdf(np.array([0.0]))
 
+    @pytest.mark.parametrize("where", ["central edge", "r = 5", "deep tail",
+                                       "whole range", "halton"])
+    def test_within_two_ulp_of_normal_dist(self, where):
+        # the central branch ends at |p - 0.5| = 0.425; the tail splits at
+        # r = sqrt(-log p) = 5, p = exp(-25)
+        p = {"central edge": 0.5 + np.concatenate([np.linspace(-0.4251, -0.4249, 2001),
+                                                   np.linspace(0.4249, 0.4251, 2001)]),
+             "r = 5": math.exp(-25) * np.linspace(0.999, 1.001, 2001),
+             "deep tail": np.logspace(-300, -10, 2901),
+             "whole range": np.linspace(1e-6, 1 - 1e-6, 20_001),
+             "halton": halton_points(25, 1351).ravel()}[where]
+        expected = np.array([NormalDist().inv_cdf(v) for v in p])
+        got = inv_norm_cdf(p)
+        assert (np.abs(got - expected) <= 2 * np.spacing(np.abs(expected))).all()
+
+    def test_exactly_antisymmetric_about_one_half(self):
+        # 1 - p is exact for p in [0.5, 1), so the two quantiles negate
+        p = np.concatenate([np.linspace(0.5, 1 - 1e-9, 10_001),
+                            1 - np.logspace(-16, -1, 301)])
+        np.testing.assert_array_equal(inv_norm_cdf(1 - p), -inv_norm_cdf(p))
+
+    def test_shape_is_kept(self):
+        p = halton_points(3, 8)
+        assert inv_norm_cdf(p).shape == (8, 3)
+
 
 class TestApproxKernel:
     def test_self_value_is_weight_sum(self):
@@ -239,9 +264,10 @@ EPS = np.finfo(float).eps
 
 
 def _hstack_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
-    """The np.cos/np.sin formula of the embedding."""
+    """The np.cos/np.sin formula of the embedding, over the map's cosine
+    terms (a mirror rule's folded frequencies and weights)."""
     P = X @ fm.frequencies.T
-    s = np.sqrt(fm.grid.weights)
+    s = np.sqrt(fm.weights)
     return np.hstack([np.cos(P) * s, np.sin(P) * s])
 
 
@@ -250,7 +276,7 @@ def _tangent_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     2 / (1 + t^2) - 1 (``_cos_from_half``) and the sine 2t / (1 + t^2)."""
     H = X @ (0.5 * fm.frequencies.T)
     t = np.tan(H)
-    s = np.sqrt(fm.grid.weights)
+    s = np.sqrt(fm.weights)
     return np.hstack([_cos_from_half(H) * s, t * (2.0 / (t * t + 1.0)) * s])
 
 
@@ -311,7 +337,7 @@ class TestEmbedBatch:
         fm = EMBEDDABLE[name]()
         X = np.random.default_rng(seed).uniform(-1.0, 1.0, (50, 3)) * 10.0**exponent
         gap = np.abs(fm.embed_batch(X) - _hstack_embedding(fm, X))
-        bound = 4 * EPS * np.tile(np.sqrt(fm.grid.weights), 2)
+        bound = 4 * EPS * np.tile(np.sqrt(fm.weights), 2)
         assert (gap <= bound).all()
 
     @settings(max_examples=200, deadline=None)
@@ -644,3 +670,121 @@ def test_poly_exact_map_embeds(tmp_path):
     x, y = rng.standard_normal(2), rng.standard_normal(2)
     assert fm.embed(x) @ fm.embed(y) == pytest.approx(fm.approx_kernel(x, y),
                                                       abs=1e-10)
+
+
+def _pe_map(d=3, R=4, D=200, seed=27, gamma=0.5) -> FeatureMap:
+    return FeatureMap(construct_poly_exact(d, R, D, seed), "poly_exact", gamma)
+
+
+class TestMirrorRules:
+    # a poly-exact rule is [P; -P] with weights [a/2; a/2]; its map folds
+    # each pair once and works with the h cosine terms of (P, a)
+    def test_map_counts_cosine_terms(self):
+        fm = _pe_map()
+        g = fm.grid
+        h = g.count // 2
+        assert g.mirror and fm.count == h
+        np.testing.assert_array_equal(fm.frequencies, g.points[:h] * math.sqrt(2 * 0.5))
+        np.testing.assert_array_equal(fm.weights, 2.0 * g.weights[:h])
+        assert fm.embed_batch(np.zeros((2, 3))).shape == (2, 2 * h)
+
+    def test_approx_within_eight_eps_of_the_sum_over_all_points(self):
+        fm = _pe_map()
+        U = np.random.default_rng(28).standard_normal((2000, 3)) * 3.0
+        expected = np.cos(U @ (fm.grid.points * math.sqrt(2 * fm.gamma)).T) \
+            @ fm.grid.weights
+        bound = 8 * EPS * fm.weights.sum()
+        assert np.abs(fm.approx(U) - expected).max() <= bound
+
+    def test_embedding_is_the_tangent_formula_of_the_folded_terms(self):
+        fm = _pe_map()
+        X = np.random.default_rng(29).standard_normal((300, 3))
+        np.testing.assert_array_equal(fm.embed_batch(X), _tangent_embedding(fm, X))
+
+    def test_embedding_identity(self):
+        fm = _pe_map()
+        rng = np.random.default_rng(30)
+        X, Y = rng.standard_normal((200, 3)), rng.standard_normal((200, 3))
+        inner = np.einsum("ij,ij->i", fm.embed_batch(X), fm.embed_batch(Y))
+        assert np.abs(inner - fm.approx(X - Y)).max() <= 1e-10
+
+    def test_anova_parts_are_folded(self):
+        kernel = AnovaKernel(((1, 2), (2, 3, 4)), GaussianKernel(0.5), 4)
+        composite = anova_compose(
+            kernel, lambda dim, D: _pe_map(dim, 2, D, seed=dim), 60)
+        assert composite.count == sum(sub.grid.count // 2
+                                      for _, sub in composite.sub_maps)
+        X = np.random.default_rng(31).standard_normal((50, 4))
+        np.testing.assert_array_equal(composite.embed_batch(X),
+                                      _reference_embedding(composite, X))
+
+    def test_embed_grid_fast_is_folded(self):
+        fm = _pe_map()
+        X = np.random.default_rng(32).standard_normal((40, 3))
+        np.testing.assert_allclose(embed_grid_fast(fm, X), fm.embed_batch(X),
+                                   atol=1e-12)
+
+    def test_json_round_trip_keeps_the_record(self):
+        fm = _pe_map()
+        payload = json.loads(json.dumps(feature_map_to_json(fm)))
+        assert payload["mirror"] is True
+        assert payload["D"] == len(payload["points"]) == 2 * fm.count
+        back = feature_map_from_json(payload)
+        assert back.grid.mirror and back.count == fm.count
+        np.testing.assert_array_equal(back.grid.points, fm.grid.points)
+        X = np.random.default_rng(33).standard_normal((20, 3))
+        np.testing.assert_array_equal(back.embed_batch(X), fm.embed_batch(X))
+
+    @pytest.mark.parametrize("damage", ["coordinate", "weight", "odd count", "not bool"])
+    def test_a_record_the_points_do_not_bear_out_is_refused(self, damage):
+        payload = json.loads(json.dumps(feature_map_to_json(_pe_map())))
+        h = payload["D"] // 2
+        if damage == "coordinate":
+            row = payload["points"][h + 1]
+            row[2] = math.nextafter(row[2], math.inf)
+        elif damage == "weight":
+            w = payload["weights"][h]
+            payload["weights"][h] = math.nextafter(w, 0.0)
+            payload["weights"][0] = math.nextafter(payload["weights"][0], math.inf)
+        elif damage == "odd count":
+            for key in ("points", "weights"):
+                payload[key] = payload[key][:-1]
+            payload["D"] -= 1
+        else:
+            payload["mirror"] = 1
+        with pytest.raises(ConfigError) as exc:
+            feature_map_from_json(payload)
+        assert exc.value.key == "mirror"
+
+    def test_grid_checks_its_record(self):
+        points = np.array([[1.0, 2.0], [-1.0, -2.0]])
+        assert GridQuadrature(points, np.array([0.5, 0.5]), mirror=True).mirror
+        with pytest.raises(ValueError, match="equal weights"):
+            GridQuadrature(points, np.array([0.25, 0.75]), mirror=True)
+        with pytest.raises(ValueError, match="negate"):
+            GridQuadrature(points[[0, 0]] * [[1.0], [2.0]], np.array([0.5, 0.5]),
+                           mirror=True)
+
+    def test_files_without_the_record_load_as_plain_rules(self):
+        payload = feature_map_to_json(_pe_map())
+        del payload["mirror"]
+        fm = feature_map_from_json(payload)
+        assert not fm.grid.mirror and fm.count == fm.grid.count
+        assert "mirror" not in feature_map_to_json(rff(3, 5, 0.5, seed=0))
+
+    @pytest.mark.parametrize("name", sorted(set(EMBEDDABLE) - {"poly-exact"}))
+    def test_maps_without_the_record_use_the_grid_as_is(self, name):
+        fm = EMBEDDABLE[name]()
+        assert not fm.grid.mirror
+        assert fm.count == fm.grid.count and fm.weights is fm.grid.weights
+        np.testing.assert_array_equal(
+            fm.frequencies, fm.grid.points * math.sqrt(2.0 * fm.gamma))
+        if fm.grid.structure is None:
+            # the blocked estimate over the grid's own points and weights
+            U = np.random.default_rng(34).standard_normal((3000, 3))
+            F = 0.5 * (fm.grid.points * math.sqrt(2.0 * fm.gamma)).T
+            rows = max(1, min(U.shape[0], _block_rows(fm.grid.count)))
+            expected = np.concatenate(
+                [_cos_from_half(U[i:i + rows] @ F) @ fm.grid.weights
+                 for i in range(0, U.shape[0], rows)])
+            np.testing.assert_array_equal(fm.approx(U), expected)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfeat import solvers
-from quadfeat.errors import ConstructionError, ConvergenceError
-from quadfeat.featuremaps import rff
+from quadfeat.errors import ConstructionError, ConvergenceError, GridSizeError
+from quadfeat.featuremaps import FeatureMap, rff
 from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
@@ -234,8 +234,9 @@ class TestNnls:
             assert squared_residual(M, b, a) <= optimum + 1e-9
 
     def test_matches_the_textbook_solver(self):
-        # the near-singular cos system, and the Hermite system of
-        # construct_poly_exact(2, 4, 75, seed=40), which has no exact rule
+        # the near-singular cos system, and the Hermite system of all 15
+        # moments of degree <= 4 in two dimensions on 75 normal candidates
+        # (seed 40), which has no exact rule
         points = np.random.default_rng(40).standard_normal((75, 2))
         hermite = hermite_matrix(points, moment_multi_indices(2, 4))
         for (M, b), tol in ((near_singular_cos_system(), 1e-10),
@@ -261,29 +262,63 @@ class TestConstructPolyExact:
         assert math.comb(25 + 2, 25) == 351
         g = construct_poly_exact(25, 2, 1000, seed=0)
         assert exactness_residual(g, 2) <= 1e-8
-        # NNLS support cannot exceed the constraint count here
-        assert g.count <= 351
+        # the rule is [P; -P], and the NNLS support P cannot exceed the 326
+        # rows of even degree that the solver keeps of the 351 moments
+        fm = FeatureMap(g, "poly_exact", 0.5)
+        assert g.count == 2 * fm.count
+        assert fm.count <= 326
+
+    @pytest.mark.parametrize("d,R,rows", [(25, 2, 326), (16, 2, 137), (8, 4, 367),
+                                          (10, 4, 771), (1, 6, 4), (3, 0, 1)])
+    def test_solved_system_has_the_even_degree_rows(self, d, R, rows):
+        even = moment_multi_indices(d, R, even=True)
+        assert len(even) == rows
+        assert even == [r for r in moment_multi_indices(d, R) if sum(r) % 2 == 0]
+
+    def test_even_rows_are_counted_against_the_cap(self):
+        with pytest.raises(GridSizeError) as exc:
+            moment_multi_indices(25, 2, cap=325, even=True)
+        assert exc.value.requested == 326
+        assert len(moment_multi_indices(25, 2, cap=326, even=True)) == 326
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rules_the_full_system_could_not_reach(self, seed):
+        # (8, 4, 1500) at seeds 0 and 1 had no exact rule over all 495
+        # moments (residual 9.3e-2 and 6.0e-2); over the 367 even ones it has
+        g = construct_poly_exact(8, 4, 1500, seed)
+        assert g.mirror
+        assert exactness_residual(g, 4) <= solvers.POLY_EXACT_TOL
+        assert (g.weights >= 0.0).all()
+        assert abs(g.weights.sum() - 1.0) <= 1e-10
+
+    def test_rule_is_the_mirror_of_its_support(self):
+        g = construct_poly_exact(3, 4, 200, seed=2)
+        h = g.count // 2
+        assert g.mirror and g.count == 2 * h
+        np.testing.assert_array_equal(g.points[h:], -g.points[:h])
+        np.testing.assert_array_equal(g.weights[h:], g.weights[:h])
+        # odd moments vanish by symmetry, to rounding
+        odd = [r for r in moment_multi_indices(3, 5) if sum(r) % 2]
+        assert np.abs(monomial_matrix(g.points, odd) @ g.weights).max() <= 1e-15
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             construct_poly_exact(2, 3, 10, seed=0)
 
     def test_unreachable_tolerance_reports_residual(self):
-        # far too few candidates to satisfy 15 constraints
+        # far too few candidates to satisfy the 11 even-degree constraints
         with pytest.raises(ConstructionError) as exc:
             construct_poly_exact(4, 2, 3, seed=0)
         assert exc.value.residual > 1e-8
 
     def test_too_few_candidates_raise_construction_errors(self):
-        # 75 candidates for the 15 moments of degree <= 4 in two dimensions
-        # are often too few; each seed gives an exact rule or a
-        # ConstructionError, never a stalled solver.  At seed 40 passive sets
-        # reach condition 3.6e5, so their Gram matrices reach 1.3e11; the
-        # solver never forms them, and works on an orthonormal basis instead.
+        # 40 candidates for the 9 moments of even degree <= 4 in two
+        # dimensions are often too few (31 of these 60 seeds); each seed
+        # gives an exact rule or a ConstructionError, never a stalled solver
         failed = 0
         for seed in range(60):
             try:
-                g = construct_poly_exact(2, 4, 75, seed)
+                g = construct_poly_exact(2, 4, 40, seed)
             except ConstructionError as exc:
                 failed += 1
                 assert exc.residual > solvers.POLY_EXACT_TOL
@@ -304,7 +339,9 @@ class TestConstructPolyExact:
         assert exactness_residual(g, R) <= 1e-8
         assert (g.weights >= 0.0).all()
         assert abs(g.weights.sum() - 1.0) <= 1e-10
-        assert g.count <= n_constraints
+        fm = FeatureMap(g, "poly_exact", 0.5)
+        assert g.count == 2 * fm.count
+        assert fm.count <= len(moment_multi_indices(d, R, even=True))
 
     def test_weight_sum_gap_is_a_construction_error(self, monkeypatch):
         # moment residual 5e-10 passes POLY_EXACT_TOL, but a normalized rule
