@@ -19,17 +19,19 @@ of at most ``EMBED_BLOCK`` (2^20) feature entries, so the features' memory
 does not grow with the number of rows (the dataset itself is read whole).
 Inside ``embed_batch`` each such block is worked through in smaller row
 blocks of at most ``featuremaps.BLOCK`` (2^15) phase entries, which stay
-in cache; that inner blocking does not change a bit of the features.  Each
+in cache, with one phase product per inner block.  Each
 block is written as exactly the bytes of ``np.savetxt(fh, Z, delimiter=",")``
 for that block's embedding ``Z``: numpy's default ``'%.18e'``, commas
 between values and a newline after each row.  ``_write_csv`` produces them
 with whole-array numpy operations, ``_CHUNK`` values at a time, in about
 0.11 s per 10^6 values where ``np.savetxt`` takes 0.69 s (one core of a
 2-core AVX512 VM).  Data that fit in one block give the bytes of one
-``np.savetxt`` of the whole feature matrix.  Past one block, BLAS tiles the
-last rows of a block differently from the same rows inside the whole
-matrix, so those rows can differ in the last bit (79 of 20 000 rows, by at
-most 8e-17, for 16 columns and 500 points).
+``np.savetxt`` of the whole feature matrix.  Past one block, a row can sit
+at another place in its inner block than it does in a whole-matrix
+embedding, and BLAS tiles the rows of a product by their place, so such
+rows can differ in the last bit.  None of 20 000 rows did for 16 columns
+and 500 points, with one or two BLAS threads; 30 of 195 rows did for 40
+columns and 500 points, embedded 5 places off their block position.
 """
 from __future__ import annotations
 

@@ -25,27 +25,36 @@ has 2D real coordinates.  That is the grid's point count, except for a
 mirror rule (``GridQuadrature.mirror``, the sign-symmetric poly-exact
 rules): its 2D points [P; -P] with weights [a/2; a/2] give the same
 estimate as the D cosines of (P, a), so the map reads the record once and
-estimates and embeds with P and a alone.  Plain and ANOVA maps share one
-embedding kernel (``_embed``), in which a plain map is one part and an
-ANOVA map has one part per sub-map.  Each part first writes its
-half-phases w_i'x / 2, one product over the whole input, into the sine
-columns of the output; a product per row block would change their last
-bits.  Then the rows are
-taken in blocks of at most ``BLOCK`` phase entries: a block's half-phases
-of every part are gathered into one contiguous scratch array, both halves
-come from their one tangent t by cos x = 2 / (1 + t^2) - 1 and
-sin x = 2t / (1 + t^2) (``_cos_from_half`` again), are scaled by sqrt(a_i)
-and are written back to their final columns.  The passes are blocked
-because numpy's tangent is about a third slower on the strided columns of
-the output than on a contiguous array, and because each of the passes over
-an output larger than the cache would go to memory; a block's two scratch
-arrays stay in a core's L2 cache.  So the peak allocation is the (n, 2D)
-output plus a fixed scratch of 2 ``BLOCK`` entries (more only when one row
-holds more than ``BLOCK`` cosine terms).  Each feature lies within 4 eps
-sqrt(a_i) (absolute) of the np.cos/np.sin formula above.  Callers may pass
-that output (``out=``), for instance a column slice of a wider array or an
-``np.memmap``.  Inputs with a NaN or infinite entry are refused, naming the
-first such row, before anything is written.
+estimates and embeds with P and a alone.
+
+A map caches one array for its frequencies: half of them, w_i / 2, as a
+read-only C-contiguous (d, D) array (``_half_frequencies``; halving is
+exact, and ``frequencies`` is rebuilt from it on demand).  Every phase
+product, in the estimator and in the embedding alike, is a block of rows
+times that array, X[block] @ (w / 2), giving the half-phases w_i'x / 2 that
+the tangent identities take, in blocks of ``_block_rows(D)`` rows, at most
+``BLOCK`` phase entries.  The rows are C-contiguous (``_rows`` copies only
+inputs that are not), so a row's phases depend on its values and on its
+place in its block, not on the input's layout.  Plain and ANOVA maps share
+one embedding kernel (``_embed``), in which a plain map is one part and an
+ANOVA map has one part per sub-map.  It takes one part at a time, a block
+of that part's rows at a time: the block's half-phases go into a scratch
+array, both halves come from their one tangent t by
+cos x = 2 / (1 + t^2) - 1 and sin x = 2t / (1 + t^2) (``_cos_from_half``
+again), are scaled by sqrt(a_i), and are written to the part's cosine and
+sine columns once.  So an ANOVA map's embedding is, by construction,
+bitwise the side-by-side embeddings of its sub-maps, and a run of whole
+row blocks embeds alone as it does inside a larger batch.  The two scratch arrays, of ``BLOCK``
+entries each, stay in a core's L2 cache, where numpy's tangent is faster
+than on the strided columns of the output.  The peak allocation is the
+(n, 2D) output plus that fixed scratch (one row each when a part has more
+than ``BLOCK`` cosine terms) and, for an ANOVA map, a buffer that gathers
+a block's subset columns.  Each feature lies within 4 eps sqrt(a_i)
+(absolute) of the np.cos/np.sin formula above at the same phases; phases
+formed by another product differ from these by rounding.  Callers may
+pass that output (``out=``), for instance a column slice of a wider array
+or an ``np.memmap``.  Inputs with a NaN or infinite entry are refused,
+naming the first such row, before anything is written.
 
 The baselines are random Fourier features (i.i.d. normal points) and QMC
 features, Halton points mapped through the normal quantile (``inv_norm_cdf``).
@@ -97,14 +106,16 @@ class _MapShell:
             raise ValueError(f"expected dimension {self.d}, got {width}")
 
     def _rows(self, u, what: str = "displacements") -> tuple[np.ndarray, bool]:
-        """``u`` as an (n, d) float array, and whether it was one (d,) row;
-        other ranks and widths, and NaN or infinite entries, are refused."""
+        """``u`` as a C-contiguous (n, d) float array (a copy only when it is
+        not one already, so the phase products see one layout), and whether
+        it was one (d,) row; other ranks and widths, and NaN or infinite
+        entries, are refused."""
         u = np.asarray(u, dtype=float)
         if u.ndim not in (1, 2):
             raise ValueError(f"{what} must have shape ({self.d},) or "
                              f"(n, {self.d}), got shape {u.shape}")
         self._check_width(u.shape[-1])
-        U = np.atleast_2d(u)
+        U = np.ascontiguousarray(np.atleast_2d(u))
         finite = np.isfinite(U).all(axis=1)
         if not finite.all():
             raise ValueError(f"{what} must be finite; row "
@@ -167,8 +178,22 @@ class FeatureMap(_MapShell):
         return self._terms[1]
 
     @cached_property
+    def _half_frequencies(self) -> np.ndarray:
+        """Half of every frequency, w_i / 2, as one read-only C-contiguous
+        (d, count) array: the operand of every phase product, whose rows
+        X[block] @ it are the half-phases w_i'x / 2.  It is the one array a
+        map caches for its frequencies."""
+        half = np.multiply(self._terms[0].T, 0.5 * math.sqrt(2.0 * self.gamma),
+                           out=np.empty((self.d, self.count)))
+        half.flags.writeable = False
+        return half
+
+    @property
     def frequencies(self) -> np.ndarray:
-        return self._terms[0] * math.sqrt(2.0 * self.gamma)
+        """The frequencies w_i = sqrt(2 gamma) p_i, (count, d): a new array,
+        twice ``_half_frequencies`` transposed (halving and doubling are
+        exact)."""
+        return 2.0 * self._half_frequencies.T
 
     @cached_property
     def _sqrt_weights(self) -> np.ndarray:
@@ -186,26 +211,25 @@ class FeatureMap(_MapShell):
         displacement raises ValueError naming its row.
         """
         U, single = self._rows(u)
-        if self.grid.structure is not None:
-            out = structured_cos_sum(self.grid.structure,
-                                     U * math.sqrt(2.0 * self.gamma))
-        else:
-            out = self._approx_points(U)
+        out = self._estimate(U)
         return float(out[0]) if single else out
 
-    def _approx_points(self, U: np.ndarray) -> np.ndarray:
-        # the buffer takes the half-phases w_i'u / 2 (halving is exact) and
-        # then their doubled-angle cosines, from numpy's vectorized tangent
-        rows = max(1, min(U.shape[0], _block_rows(self.count)))
-        F = 0.5 * self.frequencies.T
+    def _estimate(self, U: np.ndarray) -> np.ndarray:
+        """k~ at each row of an (n, d) array that ``_rows`` has checked."""
+        if self.grid.structure is not None:
+            return structured_cos_sum(self.grid.structure,
+                                      U * math.sqrt(2.0 * self.gamma))
+        # the buffer takes a block's half-phases and then their doubled-angle
+        # cosines, from numpy's vectorized tangent
+        n = U.shape[0]
+        rows = max(1, min(n, _block_rows(self.count)))
         P = np.empty((rows, self.count))
-        out = np.empty(U.shape[0])
-        for start in range(0, U.shape[0], rows):
-            block = U[start:start + rows]
-            half = P[:block.shape[0]]
-            np.matmul(block, F, out=half)
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            half = P[:min(rows, n - start)]
+            np.matmul(U[start:start + rows], self._half_frequencies, out=half)
             _cos_from_half(half)
-            out[start:start + rows] = half @ self.weights
+            np.matmul(half, self.weights, out=out[start:start + rows])
         return out
 
     def embed_batch(self, X: np.ndarray, *,
@@ -219,7 +243,7 @@ class FeatureMap(_MapShell):
         into a new array, and that array is returned.  Inputs are checked
         (shape, width, and that every entry is finite) before anything is
         written.  Each feature lies within 4 eps sqrt(a_i) of the
-        np.cos/np.sin formula.
+        np.cos/np.sin formula at the same phases.
         """
         X, _ = self._rows(X, "inputs")
         return _embed(X, ((slice(None), self),), out)
@@ -230,39 +254,48 @@ def _embed(X: np.ndarray, parts, out: np.ndarray | None) -> np.ndarray:
     by side: part p takes X[:, columns] and fills the next 2 count_p
     columns of ``out`` (checked, or a new array), cosines then sines.
 
-    The half-phases go into the sine columns by one product per part over
-    the whole input; then, a block of rows at a time, all parts' half-phases
-    are gathered into one contiguous scratch array, turned into both halves
-    and scaled there, and written back.
+    One part at a time, in blocks of ``_block_rows(count_p)`` rows: the
+    block's half-phases, X[block, columns] @ ``_half_frequencies``, go into
+    one scratch array, both halves come from their tangent there (the
+    cosines into the other scratch array), are scaled by sqrt(a_i), and are
+    written to the part's cosine and sine columns once.  A part's features
+    are therefore bitwise those of its map embedded alone.  Index columns
+    (an ANOVA subset) are gathered a block at a time into a third, small
+    buffer, so nothing is allocated inside the loop.
     """
-    s = np.concatenate([fm._sqrt_weights for _, fm in parts])  # signed maps refuse here
-    n, total = X.shape[0], s.size
+    roots = [fm._sqrt_weights for _, fm in parts]  # signed maps refuse here
+    n, total = X.shape[0], sum(fm.count for _, fm in parts)
     if out is None:
         out = np.empty((n, 2 * total))
     elif not isinstance(out, np.ndarray) or out.dtype != np.float64 \
             or out.shape != (n, 2 * total):
         raise ValueError(f"out must be a float64 array of shape {(n, 2 * total)}")
-    spans = []  # (sine columns of out, cosine columns of out, scratch columns)
+    steps = [max(1, min(n, _block_rows(fm.count))) for _, fm in parts]
+    size = max([BLOCK] + [fm.count for _, fm in parts])
+    H, C = np.empty(size), np.empty(size)
+    G = np.empty(max([step * fm.d for step, (columns, fm) in zip(steps, parts)
+                      if not isinstance(columns, slice)], default=0))
     start = 0
-    for columns, fm in parts:
-        cos = slice(2 * start, 2 * start + fm.count)
-        sin = slice(cos.stop, cos.stop + fm.count)
-        np.matmul(X[:, columns], 0.5 * fm.frequencies.T, out=out[:, sin])
-        spans.append((sin, cos, slice(start, start + fm.count)))
-        start += fm.count
-    rows = max(1, min(n, _block_rows(total)))
-    H, C = np.empty((rows, total)), np.empty((rows, total))
-    for first in range(0, n, rows):
-        block = out[first:first + rows]
-        h, c = H[:block.shape[0]], C[:block.shape[0]]
-        for sin, _, part in spans:
-            h[:, part] = block[:, sin]
-        _cos_from_half(h, c)
-        c *= s
-        h *= s
-        for sin, cos, part in spans:
-            block[:, cos] = c[:, part]
-            block[:, sin] = h[:, part]
+    for (columns, fm), s, step in zip(parts, roots, steps):
+        count, width = fm.count, fm.d
+        cos = slice(2 * start, 2 * start + count)
+        sin = slice(cos.stop, cos.stop + count)
+        for first in range(0, n, step):
+            m = min(step, n - first)
+            x = X[first:first + m]
+            if not isinstance(columns, slice):
+                # "clip" writes into G directly; the default "raise" would
+                # allocate a buffer for out on every block
+                x = np.take(x, columns, axis=1, mode="clip",
+                            out=G[:m * width].reshape(m, width))
+            h, c = H[:m * count].reshape(m, count), C[:m * count].reshape(m, count)
+            np.matmul(x, fm._half_frequencies, out=h)
+            _cos_from_half(h, c)
+            c *= s
+            h *= s
+            out[first:first + m, cos] = c
+            out[first:first + m, sin] = h
+        start += count
     return out
 
 
@@ -414,8 +447,9 @@ def embed_grid_fast(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != fm.d:
         raise ValueError(f"expected dimension {fm.d}, got {X.shape[1]}")
     phases = np.zeros((X.shape[0], fm.count))
+    F = fm.frequencies
     for j in range(fm.d):
-        vals, inverse = np.unique(fm.frequencies[:, j], return_inverse=True)
+        vals, inverse = np.unique(F[:, j], return_inverse=True)
         phases += (X[:, j:j + 1] * vals[None, :])[:, inverse]
     s = fm._sqrt_weights
     return np.hstack([np.cos(phases) * s, np.sin(phases) * s])
@@ -450,7 +484,7 @@ class AnovaFeatureMap(_MapShell):
         U, single = self._rows(u)
         total = np.zeros(U.shape[0])
         for columns, fm in self._parts:
-            total += fm.approx(U[:, columns])
+            total += fm._estimate(U.take(columns, axis=1))
         return float(total[0]) if single else total
 
     def embed_batch(self, X: np.ndarray, *,

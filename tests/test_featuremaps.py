@@ -271,10 +271,20 @@ def _hstack_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     return np.hstack([np.cos(P) * s, np.sin(P) * s])
 
 
+def _half_phases(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """w'x / 2 as the map forms it: one product per block of
+    ``_block_rows(count)`` C-contiguous rows against its cached operand."""
+    r = _block_rows(fm.count)
+    H = np.empty((X.shape[0], fm.count))
+    for i in range(0, X.shape[0], r):
+        H[i:i + r] = np.ascontiguousarray(X[i:i + r]) @ fm._half_frequencies
+    return H
+
+
 def _tangent_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     """The same features from t = tan(w'x / 2): the estimator's cosine
     2 / (1 + t^2) - 1 (``_cos_from_half``) and the sine 2t / (1 + t^2)."""
-    H = X @ (0.5 * fm.frequencies.T)
+    H = _half_phases(fm, X)
     t = np.tan(H)
     s = np.sqrt(fm.weights)
     return np.hstack([_cos_from_half(H) * s, t * (2.0 / (t * t + 1.0)) * s])
@@ -423,7 +433,9 @@ def _uneven_anova_map() -> AnovaFeatureMap:
                             ((4,), qmc_halton(1, 20, 0.5))), 4)
 
 
-BLOCK_MAPS = {"plain": lambda: rff(3, 75, 0.5, seed=24), "anova": _uneven_anova_map}
+BLOCK_MAPS = {"plain": lambda: rff(3, 75, 0.5, seed=24), "anova": _uneven_anova_map,
+              # d = 25, D = 1351: 24 rows a block
+              "paper-scale": lambda: rff(25, 1351, 0.5, seed=27)}
 
 
 def _reference_embedding(fm, X: np.ndarray) -> np.ndarray:
@@ -452,6 +464,24 @@ class TestEmbedRowBlocks:
         np.testing.assert_array_equal(view, expected)
         assert (wide[1::2] == 7.0).all()
         assert (wide[:, :3] == 7.0).all() and (wide[:, -2:] == 7.0).all()
+
+    @pytest.mark.parametrize("kind", ["plain", "paper-scale"])
+    @pytest.mark.parametrize("k, m", [(0, 1), (1, 2), (3, 1), (2, 3)])
+    def test_rows_depend_only_on_their_block(self, kind, k, m):
+        # a run of whole row blocks embeds alone as it does inside the batch
+        fm = BLOCK_MAPS[kind]()
+        r = _block_rows(fm.count)
+        X = np.random.default_rng(r + k).standard_normal((5 * r + 3, fm.d))
+        np.testing.assert_array_equal(fm.embed_batch(X)[k * r:(k + m) * r],
+                                      fm.embed_batch(X[k * r:(k + m) * r]))
+
+    def test_anova_over_many_blocks_is_the_hstack_of_its_sub_maps(self):
+        fm = _uneven_anova_map()
+        rows = _block_rows(max(sub.count for _, sub in fm.sub_maps))
+        X = np.random.default_rng(29).standard_normal((3 * rows + 11, fm.d))
+        expected = np.hstack([sub.embed_batch(X[:, np.array(S) - 1])
+                              for S, sub in fm.sub_maps])
+        np.testing.assert_array_equal(fm.embed_batch(X), expected)
 
     def test_anova_approx_across_a_block_boundary_matches_row_by_row(self):
         fm = _uneven_anova_map()
@@ -670,6 +700,22 @@ def test_poly_exact_map_embeds(tmp_path):
     x, y = rng.standard_normal(2), rng.standard_normal(2)
     assert fm.embed(x) @ fm.embed(y) == pytest.approx(fm.approx_kernel(x, y),
                                                       abs=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDABLE))
+def test_one_cached_operand_holds_the_frequencies(name):
+    # half the frequencies, read-only and C-contiguous, is the one array a
+    # map keeps for them; ``frequencies`` is built from it, bitwise
+    fm = EMBEDDABLE[name]()
+    fm.embed_batch(np.zeros((2, 3)))
+    half = fm._half_frequencies
+    assert half.shape == (3, fm.count) and half.flags.c_contiguous
+    assert not half.flags.writeable
+    points = fm.grid.points[:fm.count]
+    np.testing.assert_array_equal(fm.frequencies, points * math.sqrt(2.0 * fm.gamma))
+    np.testing.assert_array_equal(half, 0.5 * fm.frequencies.T)
+    assert sorted(k for k, v in vars(fm).items() if isinstance(v, np.ndarray)) \
+        == ["_half_frequencies", "_sqrt_weights"]
 
 
 def _pe_map(d=3, R=4, D=200, seed=27, gamma=0.5) -> FeatureMap:

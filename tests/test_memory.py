@@ -2,7 +2,8 @@
 
 Each feature is written once, into its final column, so an embedding must
 not hold a second copy of its output at any point; beyond the output it
-holds only its two scratch arrays of at most ``BLOCK`` phase entries.  The
+holds only its two scratch arrays of at most ``BLOCK`` phase entries (one
+row each for a part of more than ``BLOCK`` cosine terms).  The
 writer formats a fixed number of values at a time, so its peak is a
 constant, however many rows a block has.  ``tracemalloc`` sees numpy's data buffers, so its peak
 bounds what the call allocated.
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from quadfeat import cli
-from quadfeat.featuremaps import BLOCK, anova_compose, rff
+from quadfeat.featuremaps import BLOCK, AnovaFeatureMap, anova_compose, rff
 from quadfeat.kernels import random_anova
 
 PEAK_OVER_OUTPUT = 1.1
@@ -67,6 +68,31 @@ def test_peak_beyond_the_output_is_a_fixed_scratch(make, rows):
     X = np.random.default_rng(rows).standard_normal((rows, fm.d))
     peak, output = _embedding_peak(fm, X)
     assert peak - output <= SCRATCH_BYTES
+
+
+WIDE = BLOCK + 1000  # cosine terms of a part wider than one block
+
+
+def _wide_plain_map():
+    return rff(3, WIDE, 0.5, seed=3)
+
+
+def _wide_anova_map():
+    # the wide part, then a narrow one gathered from the other input column
+    return AnovaFeatureMap((((1, 3), rff(2, WIDE, 0.5, seed=4)),
+                            ((2,), rff(1, 40, 0.5, seed=5))), 3)
+
+
+@pytest.mark.parametrize("make", [_wide_plain_map, _wide_anova_map],
+                         ids=["plain", "anova"])
+@pytest.mark.parametrize("rows", [1, 10, 100])
+def test_a_part_wider_than_a_block_takes_one_row_of_scratch(make, rows):
+    # such a part is embedded a row at a time, so each of the two scratch
+    # arrays holds its one row
+    fm = make()
+    X = np.random.default_rng(rows).standard_normal((rows, fm.d))
+    peak, output = _embedding_peak(fm, X)
+    assert peak - output <= 2 * WIDE * 8 + 2**17
 
 
 class _Discard:
