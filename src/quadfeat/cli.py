@@ -138,7 +138,7 @@ def cmd_build(args) -> int:
     fm = _one_map(cfg, config_dataset(cfg))
     out = args.out or "featuremap.json"
     save_feature_map(fm, out)
-    points = f" ({fm.grid.count} points, sign-symmetric)" if fm.grid.mirror else ""
+    points = f" ({fm.grid.count} points)" if fm.count < fm.grid.count else ""
     print(f"wrote {out}: method={fm.method} d={fm.d} D={fm.count}{points}")
     return 0
 

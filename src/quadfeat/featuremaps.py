@@ -21,11 +21,13 @@ a few eps times sum_i |a_i|.  The explicit real embedding
 
 needs non-negative weights and satisfies <z(x), z(y)> = k~(x - y).
 A map's feature count D is its number of cosine terms, and its embedding
-has 2D real coordinates.  That is the grid's point count, except for a
-mirror rule (``GridQuadrature.mirror``, the sign-symmetric poly-exact
-rules): its 2D points [P; -P] with weights [a/2; a/2] give the same
-estimate as the D cosines of (P, a), so the map reads the record once and
-estimates and embeds with P and a alone.
+has 2D real coordinates.  cos is even, so a point w and its twin -w are
+one term of summed weight: a map folds its rule's twins once
+(``grids.fold_twins``) and estimates and embeds with the terms that are
+left.  A poly-exact rule [P; -P], [a/2; a/2] has D = |P|, and a
+subsampled grid at small d loses the twins it drew.  Dense and Smolyak
+grids are not folded: their D is their point count, and their factored
+estimate folds each one-dimensional rule instead.
 
 A map caches one array for its frequencies: half of them, w_i / 2, as a
 read-only C-contiguous (d, D) array (``_half_frequencies``; halving is
@@ -74,6 +76,7 @@ from .errors import EmbeddingUnsupportedError, config_field
 from .grids import (
     GridQuadrature,
     _cos_from_half,
+    fold_twins,
     grid_from_json,
     grid_to_json,
     structured_cos_sum,
@@ -158,18 +161,20 @@ class FeatureMap(_MapShell):
 
     @cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The points and weights of the estimate's cosine terms: the grid's
-        own, or for a mirror rule [P; -P], [a/2; a/2] the pair (P, a), since
-        a/2 cos(p'u) + a/2 cos(-p'u) = a cos(p'u)."""
+        """The points and weights of the estimate's cosine terms: the first
+        of each pair of twins w, -w with the summed weight, since
+        a cos(w'u) + b cos(-w'u) = (a + b) cos(w'u), and the grid's own
+        arrays when it has no twins or a ``structure`` record."""
         g = self.grid
-        if not g.mirror:
-            return g.points, g.weights
-        h = g.count // 2
-        return g.points[:h], 2.0 * g.weights[:h]
+        if g.structure is None:
+            keep, weights = fold_twins(g.points, g.weights)
+            if keep.size < g.count:
+                return g.points[keep], weights
+        return g.points, g.weights
 
     @property
     def count(self) -> int:
-        """D, the number of cosine terms (half the points of a mirror rule)."""
+        """D, the number of cosine terms (the grid's points less its twins)."""
         return self._terms[0].shape[0]
 
     @property

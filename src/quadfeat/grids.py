@@ -21,14 +21,15 @@ level-A grid is the 2^A-point Gauss rule itself.
 without touching the points; each one-dimensional sum folds the rule's
 mirror pairs, so an L-point rule costs floor(L/2) cosines.  The record is
 not serialized, and every grid derived from another (subsampled,
-reweighted, loaded) carries none.  The ``mirror`` record of a
-sign-symmetric rule [P; -P], [a/2; a/2] (the poly-exact rules) is
-serialized, as ``"mirror": true``, and checked against the points and
-weights wherever a grid is made with it.  Weight-proportional
-subsampling draws points i.i.d. with probability proportional to weight,
-1/D per draw, merging duplicates; a lattice variant draws from the
-tensor-product law, so grids far beyond the materialization cap can
-still be subsampled.
+reweighted, loaded) carries none.  Every other rule is folded by
+``fold_twins`` wherever it is estimated or refit: cos is even, so a point
+w and its twin -w are one cosine term of summed weight, found by one sort
+of the rows up to sign.  A poly-exact rule [P; -P], [a/2; a/2] folds to
+(P, a) that way, and a subsampled grid or a reweighting pool loses the
+twins it drew.  Weight-proportional subsampling draws points i.i.d. with
+probability proportional to weight, 1/D per draw, merging duplicates; a
+lattice variant draws from the tensor-product law, so grids far beyond
+the materialization cap can still be subsampled.
 
 Every cosine of the kernel estimate, here and on the generic path in
 ``featuremaps``, and both halves of every embedding come from
@@ -64,16 +65,12 @@ class GridQuadrature:
     data-reweighted one, whose least-squares objective sets the scale).
     ``structure`` is set only by ``dense_grid`` (``("dense", L)``) and
     ``sparse_grid`` (``("sparse", A)``); see ``structured_cos_sum``.
-    ``mirror`` records a sign-symmetric rule, points [P; -P] with weights
-    [a/2; a/2] (checked bitwise), whose odd moments vanish by construction;
-    its kernel estimate sum_i a_i cos(p_i'u) needs only the h rows of P.
     """
 
     points: np.ndarray
     weights: np.ndarray
     provenance: str = ""
     normalized: bool = True
-    mirror: bool = False
     structure: tuple | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -88,8 +85,6 @@ class GridQuadrature:
         # an empty rule can only come out of reweighting, which is unnormalized
         if self.normalized and abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-10")
-        if self.mirror and (problem := _mirror_problem(pts, w)):
-            raise ValueError(problem)
         _check_unique_rows(pts)
         pts.setflags(write=False)
         w.setflags(write=False)
@@ -107,19 +102,6 @@ class GridQuadrature:
     @property
     def nonnegative(self) -> bool:
         return bool(self.count == 0 or self.weights.min() >= 0.0)
-
-
-def _mirror_problem(points: np.ndarray, weights: np.ndarray) -> str | None:
-    """Why points and weights are not a mirror rule [P; -P], [a/2; a/2], or
-    None if they are."""
-    h, rest = divmod(points.shape[0], 2)
-    if rest:
-        return f"a mirror rule has an even point count, not {points.shape[0]}"
-    if not (points[h:] == -points[:h]).all():
-        return "a mirror rule's second half of points must negate its first"
-    if not (weights[h:] == weights[:h]).all():
-        return "a mirror rule's twins w, -w must have equal weights"
-    return None
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
@@ -142,6 +124,32 @@ def _check_unique_rows(points: np.ndarray) -> None:
     srt = rounded[order]
     if (np.abs(np.diff(srt, axis=0)).max(axis=1) == 0.0).any():
         raise ValueError("duplicate points after merging")
+
+
+def fold_twins(points: np.ndarray, weights: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that stay cosine terms, ascending, and their weights.
+
+    cos is even, so of each pair of rows w, -w (entries of -0.0 count as
+    0.0) the first is kept with the summed weight; the origin is its own
+    twin and stays one row.  The rows are distinct, as in every grid.  A
+    row is negated when its first nonzero entry is negative, so twins
+    become equal, and one stable sort of the rows as byte strings (one
+    comparison per pair of rows, not one pass per coordinate) brings each
+    pair together in row order.
+    """
+    p = points + 0.0  # -0.0 -> 0.0, so equal rows have equal bytes
+    lead = p[np.arange(p.shape[0]), np.argmax(p != 0.0, axis=1)]
+    unsigned = np.where(lead[:, None] < 0.0, 0.0 - p, p)
+    row = np.dtype((np.void, unsigned.itemsize * unsigned.shape[1]))
+    order = np.argsort(unsigned.view(row)[:, 0], kind="stable")
+    srt = unsigned[order]
+    first = np.ones(p.shape[0], dtype=bool)
+    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    keep = order[starts]
+    ascending = np.argsort(keep)
+    return keep[ascending], np.add.reduceat(weights[order], starts)[ascending]
 
 
 def _append_coordinate(points, weights, rule):
@@ -410,8 +418,7 @@ def exactness_residual(
 
 
 def grid_to_json(g: GridQuadrature) -> dict:
-    """The grid as a JSON object; ``"D"`` is the point count, and a mirror
-    rule adds ``"mirror": true``."""
+    """The grid as a JSON object; ``"D"`` is the point count."""
     payload = {
         "d": g.d,
         "D": g.count,
@@ -420,8 +427,6 @@ def grid_to_json(g: GridQuadrature) -> dict:
         "nonnegative": g.nonnegative,
         "provenance": g.provenance,
     }
-    if g.mirror:
-        payload["mirror"] = True
     return payload
 
 
@@ -439,17 +444,13 @@ def _point_rows(value) -> np.ndarray:
     return points
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 def grid_from_json(payload: dict) -> GridQuadrature:
     """The grid of a ``grid_to_json`` payload.  A missing, ill-typed or
-    non-finite field, a repeated point, a ``d``, ``D`` or ``weights``
-    unlike the points, or a ``mirror`` the points and weights do not bear
-    out raises ConfigError.  A payload without ``mirror`` is no mirror rule."""
+    non-finite field, a repeated point, or a ``d``, ``D`` or ``weights``
+    unlike the points raises ConfigError.  Other keys are ignored:
+    ``nonnegative`` is read off the weights, and the sign-symmetry flag of
+    older poly-exact files is redundant, since ``fold_twins`` finds their
+    twins."""
     field = functools.partial(config_field, payload, where="grid file")
     points = field("points", _point_rows)
     d, D = field("d", operator.index), field("D", operator.index)
@@ -461,14 +462,10 @@ def grid_from_json(payload: dict) -> GridQuadrature:
         if value != size:
             raise ConfigError(f"grid file: field {key!r} gives {value}, but the "
                               f"points give {size}", key=key)
-    mirror = field("mirror", _flag) if "mirror" in payload else False
-    if mirror and (problem := _mirror_problem(points, weights)):
-        raise ConfigError(f"grid file: field 'mirror': {problem}", key="mirror")
     try:
         return GridQuadrature(points, weights,
                               provenance=str(payload.get("provenance", "")),
-                              normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10,
-                              mirror=mirror)
+                              normalized=abs(sum(weights.tolist()) - 1.0) <= 1e-10)
     except ValueError as exc:  # all the grid checks beyond the above: repeated rows
         raise ConfigError(f"grid file: field 'points': {exc}", key="points") from None
 

@@ -26,8 +26,9 @@ On top of it sit
   (positive LARS), walked from the largest useful penalty down, one
   entering or leaving column per step; the path updates the same
   passive-set factor, and each step costs O(np).  Lawson-Hanson
-  solves the unpenalized fits.  Both fold mirror pairs w, -w of the
-  candidates into one column first.
+  solves the unpenalized fits.  Both fold each pair of twins w, -w of the
+  candidates into one column first (``grids.fold_twins``, the fold every
+  feature map makes of its rule).
 
 Reweighted grids keep their fitted scale: the least-squares objective
 governs, so the weights are deliberately not renormalized to sum to 1.
@@ -43,6 +44,7 @@ from .errors import ConstructionError, ConvergenceError
 from .grids import (
     GridQuadrature,
     exactness_residual,
+    fold_twins,
     hermite_matrix,
     moment_multi_indices,
 )
@@ -271,15 +273,15 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
     out because k~(u) = sum_i a_i cos(w_i'u) is even in every w_i: the odd
     moments never reach the estimate, nor the Taylor argument of
     ``bounds.poly_bound``.  The h candidates P with positive weight a
-    (h <= the number of rows) become the mirror rule [P; -P] with weights
-    [a/2; a/2], whose odd moments vanish by symmetry, so it is exact for
-    every monomial of degree <= R.  Its 2h points carry the ``mirror``
-    record, and a ``FeatureMap`` of it estimates and embeds with the h
-    cosines of (P, a): the map's D (``count``) is h.  The rule is checked in the
-    monomial basis: raises ConstructionError, carrying the achieved
-    residual, when its ``exactness_residual`` exceeds ``POLY_EXACT_TOL``,
-    or when the weight sum is off by more than the 1e-10 that
-    ``GridQuadrature`` allows; the caller may raise D and retry.
+    (h <= the number of rows) become the sign-symmetric rule [P; -P] with
+    weights [a/2; a/2], whose odd moments vanish by symmetry, so it is
+    exact for every monomial of degree <= R.  A ``FeatureMap`` folds its
+    twins (``grids.fold_twins``) and estimates and embeds with the h
+    cosines of (P, a), bitwise a/2 + a/2 = a: the map's D (``count``) is h.
+    The rule is checked in the monomial basis: raises ConstructionError,
+    carrying the achieved residual, when its ``exactness_residual`` exceeds
+    ``POLY_EXACT_TOL``, or when the weight sum is off by more than the 1e-10
+    that ``GridQuadrature`` allows; the caller may raise D and retry.
     """
     if d < 1 or D < 1:
         raise ValueError("d and D must be positive")
@@ -295,23 +297,22 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
     sol = nnls(hermite_matrix(points, indices), target, tol=1e-13)
     keep = sol.a > 0.0
     half = 0.5 * sol.a[keep]
-    mirrored = (np.concatenate([points[keep], -points[keep]]),
-                np.concatenate([half, half]))
-    residual = exactness_residual(
-        GridQuadrature(*mirrored, normalized=False, mirror=True), R)
+    signed = (np.concatenate([points[keep], -points[keep]]),
+              np.concatenate([half, half]))
+    residual = exactness_residual(GridQuadrature(*signed, normalized=False), R)
     if residual > POLY_EXACT_TOL:
         raise ConstructionError(
             f"poly-exact construction reached residual {residual:.3e} "
             f"> {POLY_EXACT_TOL:.1e} (d={d}, R={R}, D={D})",
             residual=residual)
-    weight_gap = float(mirrored[1].sum()) - 1.0
+    weight_gap = float(signed[1].sum()) - 1.0
     if abs(weight_gap) > 1e-10:
         raise ConstructionError(
             f"poly-exact weights sum to 1 {weight_gap:+.3e}, beyond the 1e-10 "
             f"a normalized rule allows (d={d}, R={R}, D={D})",
             residual=abs(weight_gap))
     return GridQuadrature(
-        *mirrored, mirror=True,
+        *signed,
         provenance=f"poly_exact(d={d}, R={R}, D={D}, seed={seed}, "
                    f"residual={residual:.3e})")
 
@@ -341,30 +342,16 @@ def _kernel_gamma(kernel, gamma: Optional[float]) -> float:
     raise ValueError("gamma is required when the kernel is a bare callable")
 
 
-def _fold_twins(candidates: GridQuadrature) -> GridQuadrature:
-    """``candidates`` without the later member of each mirror pair w, -w.
-
-    cos is even, so a twin only repeats a column of the reweighting system;
-    the member that comes first in pool order is kept.
-    """
-    seen, keep = set(), []
-    for i, row in enumerate(candidates.points + 0.0):  # + 0.0 turns -0.0 into 0.0
-        if (0.0 - row).tobytes() not in seen:
-            seen.add(row.tobytes())
-            keep.append(i)
-    if len(keep) == candidates.count:
-        return candidates
-    return GridQuadrature(candidates.points[keep], candidates.weights[keep],
-                          provenance=candidates.provenance, normalized=False)
-
-
 def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
                      gamma: Optional[float]):
-    """The twin-folded pool, M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l)."""
-    pool = _fold_twins(candidates)
+    """The twin-folded pool's points, M[l, i] = cos(w_i'(x_l - y_l)) and
+    b_l = k(x_l - y_l).  A twin -w only repeats the column of w, so the
+    first of each pair, in candidate order, is kept."""
+    keep, _ = fold_twins(candidates.points, candidates.weights)
+    pool = candidates.points[keep]
     X, Y = _pairs_to_arrays(pairs)
     g = _kernel_gamma(kernel, gamma)
-    freqs = pool.points * np.sqrt(2.0 * g)
+    freqs = pool * np.sqrt(2.0 * g)
     U = X - Y
     # np.cos, not the estimator's tangent identity (grids._cos_from_half): the
     # fitted supports and weights depend on every bit of this system
@@ -373,15 +360,16 @@ def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
     return pool, system, targets
 
 
-def _fitted_grid(pool: GridQuadrature, system: np.ndarray, targets: np.ndarray,
-                 keep: np.ndarray, a: np.ndarray, how: str) -> GridQuadrature:
+def _fitted_grid(candidates: GridQuadrature, pool: np.ndarray, system: np.ndarray,
+                 targets: np.ndarray, keep: np.ndarray, a: np.ndarray,
+                 how: str) -> GridQuadrature:
     """The pool points at ``keep`` with fitted weights ``a``."""
     n = system.shape[0]
     r = system[:, keep] @ a - targets
     return GridQuadrature(
-        pool.points[keep], a, normalized=False,
+        pool[keep], a, normalized=False,
         provenance=f"reweighted({how}, n={n}, sum_a={a.sum()!r}, "
-                   f"mse={float(r @ r) / n!r}) of {pool.provenance}")
+                   f"mse={float(r @ r) / n!r}) of {candidates.provenance}")
 
 
 def _unpenalized_fit(system: np.ndarray, targets: np.ndarray,
@@ -399,7 +387,7 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
 
     Builds M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
     minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0: by Lawson-Hanson at
-    lam = 0, on the l1 path otherwise.  Of each mirror pair w, -w in the
+    lam = 0, on the l1 path otherwise.  Of each pair of twins w, -w in the
     candidates only the first is fitted, since both give the same column.
     Zero-weight points are dropped, and the weight sum is left at its
     fitted value.
@@ -417,7 +405,7 @@ def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
     else:
         # (1/n)||Ma-b||^2 + lam 1'a  ==  (2/n) * (0.5||Ma-b||^2 + (n lam / 2) 1'a)
         keep, a = _path_solution(system, targets, 0.5 * system.shape[0] * lam)
-    return _fitted_grid(pool, system, targets, keep, a, f"lam={lam!r}")
+    return _fitted_grid(candidates, pool, system, targets, keep, a, f"lam={lam!r}")
 
 
 # a penalty round-tripped through lam = 2s/n lands within 2 eps of s
@@ -598,7 +586,7 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     passing ``D``, its end, the unpenalized fit, is returned with
     lam = 0.
 
-    Mirror pairs w, -w in the candidates are folded as in ``reweight``.
+    Twins w, -w in the candidates are folded as in ``reweight``.
     The penalty only selects the support: the weights are refit at lam = 0
     on the surviving points, so hitting a small target does not cost
     systematic shrinkage of the weight sum; ``reweight`` at ``lam`` gives
@@ -616,14 +604,14 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     else:
         keep, a = chosen.at(0.0) if chosen else (np.zeros(0, dtype=np.intp),
                                                  np.zeros(0))
-        return BisectResult(0.0, _fitted_grid(pool, system, targets, keep, a,
-                                              "lam=0.0"), None, None)
+        return BisectResult(0.0, _fitted_grid(candidates, pool, system, targets,
+                                              keep, a, "lam=0.0"), None, None)
 
     lam = 2.0 * chosen.lo / n
     support, _ = chosen.at(chosen.lo)
     keep, a = _unpenalized_fit(system[:, support], targets,
                                start=np.arange(support.size))
-    grid = _fitted_grid(pool, system, targets, support[keep], a,
+    grid = _fitted_grid(candidates, pool, system, targets, support[keep], a,
                         f"lam={lam!r}, refit at lam=0 on its support")
     return BisectResult(lam, grid, (segment.hi + segment.lo) / n,
                         segment.support.size, segment.events)

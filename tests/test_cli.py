@@ -50,9 +50,20 @@ def test_build_names_cosine_terms_and_points_of_a_mirror_rule(tmp_path, capsys):
                  "--degree", "2", "--seed", "1", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     h = payload["D"] // 2
-    assert payload["mirror"] is True and payload["D"] == len(payload["points"])
+    assert "mirror" not in payload and payload["D"] == len(payload["points"])
     assert capsys.readouterr().out == (f"wrote {out}: method=poly_exact d=3 "
-                                       f"D={h} ({2 * h} points, sign-symmetric)\n")
+                                       f"D={h} ({2 * h} points)\n")
+
+
+def test_build_names_cosine_terms_and_points_of_a_subsampled_map(tmp_path, capsys):
+    # at d = 3 the weight-proportional draws include twins w, -w, and each
+    # pair is one cosine term
+    out = tmp_path / "ss.json"
+    assert main(["build", "--method", "subsampled", "--d", "3", "--L", "4",
+                 "--D", "40", "--seed", "16", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["points"]) == 19
+    assert capsys.readouterr().out == (f"wrote {out}: method=subsampled d=3 "
+                                       f"D=12 (19 points)\n")
 
 
 def test_eval_prints_report_row(capsys):

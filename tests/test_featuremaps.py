@@ -31,6 +31,7 @@ from quadfeat.grids import (
     GridQuadrature,
     _cos_from_half,
     dense_grid,
+    fold_twins,
     sparse_grid,
     subsample_grid,
 )
@@ -265,7 +266,7 @@ EPS = np.finfo(float).eps
 
 def _hstack_embedding(fm: FeatureMap, X: np.ndarray) -> np.ndarray:
     """The np.cos/np.sin formula of the embedding, over the map's cosine
-    terms (a mirror rule's folded frequencies and weights)."""
+    terms (the folded frequencies and weights of a rule with twins)."""
     P = X @ fm.frequencies.T
     s = np.sqrt(fm.weights)
     return np.hstack([np.cos(P) * s, np.sin(P) * s])
@@ -318,7 +319,10 @@ class TestApproxAgainstCosFormula:
         fm = FeatureMap(GridQuadrature(g.points, g.weights, normalized=g.normalized),
                         fm.method, fm.gamma)
         U = np.random.default_rng(23).standard_normal((2000, 3)) * 3.0
-        expected = np.cos(U @ fm.frequencies.T) @ fm.grid.weights
+        # over all the grid's points: the map sums each pair of twins as one
+        # cosine term
+        points = fm.grid.points * math.sqrt(2.0 * fm.gamma)
+        expected = np.cos(U @ points.T) @ fm.grid.weights
         bound = 8 * np.finfo(float).eps * np.abs(fm.grid.weights).sum()
         assert np.abs(fm.approx(U) - expected).max() <= bound
 
@@ -705,13 +709,15 @@ def test_poly_exact_map_embeds(tmp_path):
 @pytest.mark.parametrize("name", sorted(EMBEDDABLE))
 def test_one_cached_operand_holds_the_frequencies(name):
     # half the frequencies, read-only and C-contiguous, is the one array a
-    # map keeps for them; ``frequencies`` is built from it, bitwise
+    # map keeps for them; ``frequencies`` is built from it, bitwise, and
+    # holds the first of each pair of twins unless the grid is structured
     fm = EMBEDDABLE[name]()
     fm.embed_batch(np.zeros((2, 3)))
     half = fm._half_frequencies
     assert half.shape == (3, fm.count) and half.flags.c_contiguous
     assert not half.flags.writeable
-    points = fm.grid.points[:fm.count]
+    g = fm.grid
+    points = g.points if g.structure else g.points[fold_twins(g.points, g.weights)[0]]
     np.testing.assert_array_equal(fm.frequencies, points * math.sqrt(2.0 * fm.gamma))
     np.testing.assert_array_equal(half, 0.5 * fm.frequencies.T)
     assert sorted(k for k, v in vars(fm).items() if isinstance(v, np.ndarray)) \
@@ -729,7 +735,7 @@ class TestMirrorRules:
         fm = _pe_map()
         g = fm.grid
         h = g.count // 2
-        assert g.mirror and fm.count == h
+        assert fm.count == h
         np.testing.assert_array_equal(fm.frequencies, g.points[:h] * math.sqrt(2 * 0.5))
         np.testing.assert_array_equal(fm.weights, 2.0 * g.weights[:h])
         assert fm.embed_batch(np.zeros((2, 3))).shape == (2, 2 * h)
@@ -771,57 +777,82 @@ class TestMirrorRules:
                                    atol=1e-12)
 
     def test_json_round_trip_keeps_the_record(self):
+        # the file keeps the 2h points, whose twins the map read back folds
+        # again; a file that also carries the "mirror": true of earlier
+        # versions loads to the same map, bitwise
         fm = _pe_map()
         payload = json.loads(json.dumps(feature_map_to_json(fm)))
-        assert payload["mirror"] is True
+        assert "mirror" not in payload
         assert payload["D"] == len(payload["points"]) == 2 * fm.count
-        back = feature_map_from_json(payload)
-        assert back.grid.mirror and back.count == fm.count
-        np.testing.assert_array_equal(back.grid.points, fm.grid.points)
+        U = np.random.default_rng(33).standard_normal((500, 3))
         X = np.random.default_rng(33).standard_normal((20, 3))
-        np.testing.assert_array_equal(back.embed_batch(X), fm.embed_batch(X))
+        for older in (False, True):
+            if older:
+                payload["mirror"] = True
+            back = feature_map_from_json(payload)
+            assert back.count == fm.count
+            np.testing.assert_array_equal(back.grid.points, fm.grid.points)
+            np.testing.assert_array_equal(back.approx(U), fm.approx(U))
+            np.testing.assert_array_equal(back.embed_batch(X), fm.embed_batch(X))
 
-    @pytest.mark.parametrize("damage", ["coordinate", "weight", "odd count", "not bool"])
-    def test_a_record_the_points_do_not_bear_out_is_refused(self, damage):
+    def test_a_record_the_points_do_not_bear_out_loads_as_a_plain_rule(self):
+        # "mirror": true over points that are not [P; -P]: one coordinate
+        # moved by one ulp leaves h - 1 pairs of twins and two single points
         payload = json.loads(json.dumps(feature_map_to_json(_pe_map())))
+        payload["mirror"] = True
         h = payload["D"] // 2
-        if damage == "coordinate":
-            row = payload["points"][h + 1]
-            row[2] = math.nextafter(row[2], math.inf)
-        elif damage == "weight":
-            w = payload["weights"][h]
-            payload["weights"][h] = math.nextafter(w, 0.0)
-            payload["weights"][0] = math.nextafter(payload["weights"][0], math.inf)
-        elif damage == "odd count":
-            for key in ("points", "weights"):
-                payload[key] = payload[key][:-1]
-            payload["D"] -= 1
-        else:
-            payload["mirror"] = 1
-        with pytest.raises(ConfigError) as exc:
-            feature_map_from_json(payload)
-        assert exc.value.key == "mirror"
-
-    def test_grid_checks_its_record(self):
-        points = np.array([[1.0, 2.0], [-1.0, -2.0]])
-        assert GridQuadrature(points, np.array([0.5, 0.5]), mirror=True).mirror
-        with pytest.raises(ValueError, match="equal weights"):
-            GridQuadrature(points, np.array([0.25, 0.75]), mirror=True)
-        with pytest.raises(ValueError, match="negate"):
-            GridQuadrature(points[[0, 0]] * [[1.0], [2.0]], np.array([0.5, 0.5]),
-                           mirror=True)
+        row = payload["points"][h + 1]
+        row[2] = math.nextafter(row[2], math.inf)
+        fm = feature_map_from_json(payload)
+        assert fm.grid.count == 2 * h and fm.count == h + 1
+        U = np.random.default_rng(35).standard_normal((2000, 3)) * 3.0
+        expected = np.cos(U @ (fm.grid.points * math.sqrt(2 * fm.gamma)).T) \
+            @ fm.grid.weights
+        bound = 8 * EPS * np.abs(fm.grid.weights).sum()
+        assert np.abs(fm.approx(U) - expected).max() <= bound
 
     def test_files_without_the_record_load_as_plain_rules(self):
+        # a file without the key, as every file is now, still folds
         payload = feature_map_to_json(_pe_map())
-        del payload["mirror"]
+        payload.pop("mirror", None)
         fm = feature_map_from_json(payload)
-        assert not fm.grid.mirror and fm.count == fm.grid.count
+        assert fm.count == fm.grid.count // 2
         assert "mirror" not in feature_map_to_json(rff(3, 5, 0.5, seed=0))
+
+    @pytest.mark.parametrize("L,d,D,seed,points,terms", [(4, 3, 40, 16, 19, 12),
+                                                        (8, 5, 1000, 0, 494, 363)])
+    def test_small_d_subsampled_maps_count_cosine_terms(self, L, d, D, seed,
+                                                        points, terms):
+        # weight-proportional draws at small d pick twins; each pair is one
+        # term, so the map embeds to 2 * terms columns
+        fm = subsampled_feature_map(L, d, D, 0.5, seed)
+        assert (fm.grid.count, fm.count) == (points, terms)
+        rng = np.random.default_rng(36)
+        X, Y = rng.standard_normal((200, d)), rng.standard_normal((200, d))
+        Z = fm.embed_batch(X)
+        assert Z.shape == (200, 2 * terms)
+        inner = np.einsum("ij,ij->i", Z, fm.embed_batch(Y))
+        assert np.abs(inner - fm.approx(X - Y)).max() <= 1e-12
+
+    def test_structured_grids_are_not_folded(self):
+        # a dense or Smolyak grid's D counts its points
+        assert FeatureMap(dense_grid(4, 5), "dense", 0.5).count == 1024
+        assert FeatureMap(sparse_grid(2, 25), "sparse", 0.5).count == 1351
 
     @pytest.mark.parametrize("name", sorted(set(EMBEDDABLE) - {"poly-exact"}))
     def test_maps_without_the_record_use_the_grid_as_is(self, name):
+        # a rule without twins, or with a structure record, is used as it
+        # is; one with twins (the subsampled grid at d = 3) estimates within
+        # 8 eps sum |a_i| of the np.cos sum over all its points
         fm = EMBEDDABLE[name]()
-        assert not fm.grid.mirror
+        g = fm.grid
+        if name == "subsampled":
+            assert fm.count < g.count
+            U = np.random.default_rng(34).standard_normal((3000, 3))
+            expected = np.cos(U @ (g.points * math.sqrt(2.0 * fm.gamma)).T) @ g.weights
+            bound = 8 * EPS * np.abs(g.weights).sum()
+            assert np.abs(fm.approx(U) - expected).max() <= bound
+            return
         assert fm.count == fm.grid.count and fm.weights is fm.grid.weights
         np.testing.assert_array_equal(
             fm.frequencies, fm.grid.points * math.sqrt(2.0 * fm.gamma))

@@ -15,6 +15,7 @@ from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
     exactness_residual,
+    fold_twins,
     grid_from_json,
     grid_to_json,
     hermite_matrix,
@@ -389,3 +390,82 @@ class TestUniqueRows:
         assert accepts(b) and lexsort_check(b)
         c = np.array([[-1e-13, 1.0], [0.0, 1.0]])  # -0.0 and 0.0 after rounding
         assert not accepts(c) and not lexsort_check(c)
+
+
+def reference_fold(points, weights):
+    """The set loop that folded reweighting pools before ``fold_twins``,
+    with the weights summed: row by row, a row whose negation was kept
+    already is dropped, and its weight is added to that row's."""
+    kept, weight, position = [], [], {}
+    for i, row in enumerate(points + 0.0):  # + 0.0 turns -0.0 into 0.0
+        twin = position.get((0.0 - row).tobytes())
+        if twin is None:
+            position[row.tobytes()] = len(kept)
+            kept.append(i)
+            weight.append(weights[i])
+        else:
+            weight[twin] += weights[i]
+    return np.array(kept, dtype=np.intp), np.array(weight, dtype=float)
+
+
+class TestFoldTwins:
+    """The sorted fold against the set loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 4),
+           rows=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                         min_size=0, max_size=12),
+           planted=st.lists(st.integers(0, 11), max_size=6),
+           origin=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_keeps_the_rows_and_sums_the_weights_of_the_set_loop(
+            self, d, rows, planted, origin, seed):
+        # small integer rows meet their negations often; the planted rows are
+        # exact twins of drawn ones, and a zero entry may carry either sign
+        rng = np.random.default_rng(seed)
+        points = np.array(rows, dtype=float).reshape(-1, 4)[:, :d] / 3.0
+        twins = -points[[i for i in planted if i < len(points)]]
+        points = np.concatenate([points, twins] + ([np.zeros((1, d))] if origin else []))
+        zero = points == 0.0
+        points[zero] = np.where(rng.integers(0, 2, zero.sum()) == 1, -0.0, 0.0)
+        _, first = np.unique(points + 0.0, axis=0, return_index=True)
+        points = points[np.sort(first)]  # the rows of a grid are distinct
+        points = points[rng.permutation(len(points))]
+        weights = rng.uniform(0.0, 1.0, len(points))
+        keep, summed = fold_twins(points, weights)
+        expected_keep, expected_weights = reference_fold(points, weights)
+        np.testing.assert_array_equal(keep, expected_keep)
+        np.testing.assert_array_equal(summed, expected_weights)
+        assert keep.dtype == np.intp and summed.dtype == float
+
+    def test_a_rule_and_its_negation_fold_to_the_rule(self):
+        # the poly-exact layout [P; -P], [a/2; a/2] gives back (P, a) bitwise
+        rng = np.random.default_rng(41)
+        P, a = rng.standard_normal((30, 4)), rng.uniform(0.0, 1.0, 30)
+        half = 0.5 * a
+        keep, summed = fold_twins(np.concatenate([P, -P]), np.concatenate([half, half]))
+        np.testing.assert_array_equal(keep, np.arange(30))
+        np.testing.assert_array_equal(summed, a)
+
+    def test_origin_and_signed_zeros(self):
+        points = np.array([[0.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [0.0, -1.0],
+                           [-1.0, -0.0]])
+        keep, summed = fold_twins(points, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        np.testing.assert_array_equal(keep, [0, 1, 2])
+        np.testing.assert_array_equal(summed, [0.1, 0.2 + 0.4, 0.3 + 0.5])
+
+    def test_empty_rule(self):
+        keep, summed = fold_twins(np.zeros((0, 3)), np.zeros(0))
+        assert keep.shape == summed.shape == (0,)
+
+    @pytest.mark.parametrize("L,d,D,seed,terms", [(8, 3, 400, 0, 48),
+                                                 (8, 5, 1000, 0, 363),
+                                                 (4, 3, 40, 16, 12),
+                                                 (8, 25, 1351, 0, 1351)])
+    def test_subsampled_grids(self, L, d, D, seed, terms):
+        g = subsample_dense_grid(L, d, D, seed)
+        keep, summed = fold_twins(g.points, g.weights)
+        assert keep.size == terms
+        expected_keep, expected_weights = reference_fold(g.points, g.weights)
+        np.testing.assert_array_equal(keep, expected_keep)
+        np.testing.assert_array_equal(summed, expected_weights)

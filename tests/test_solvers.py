@@ -15,6 +15,7 @@ from quadfeat.grids import (
     GridQuadrature,
     dense_grid,
     exactness_residual,
+    fold_twins,
     hermite_matrix,
     moment_multi_indices,
     moment_targets,
@@ -286,7 +287,8 @@ class TestConstructPolyExact:
         # (8, 4, 1500) at seeds 0 and 1 had no exact rule over all 495
         # moments (residual 9.3e-2 and 6.0e-2); over the 367 even ones it has
         g = construct_poly_exact(8, 4, 1500, seed)
-        assert g.mirror
+        h = g.count // 2
+        np.testing.assert_array_equal(g.points[h:], -g.points[:h])
         assert exactness_residual(g, 4) <= solvers.POLY_EXACT_TOL
         assert (g.weights >= 0.0).all()
         assert abs(g.weights.sum() - 1.0) <= 1e-10
@@ -294,9 +296,13 @@ class TestConstructPolyExact:
     def test_rule_is_the_mirror_of_its_support(self):
         g = construct_poly_exact(3, 4, 200, seed=2)
         h = g.count // 2
-        assert g.mirror and g.count == 2 * h
+        assert g.count == 2 * h
         np.testing.assert_array_equal(g.points[h:], -g.points[:h])
         np.testing.assert_array_equal(g.weights[h:], g.weights[:h])
+        # a map of it has the h cosine terms of (P, a)
+        fm = FeatureMap(g, "poly_exact", 0.5)
+        assert fm.count == h
+        np.testing.assert_array_equal(fm.weights, 2.0 * g.weights[:h])
         # odd moments vanish by symmetry, to rounding
         odd = [r for r in moment_multi_indices(3, 5) if sum(r) % 2]
         assert np.abs(monomial_matrix(g.points, odd) @ g.weights).max() <= 1e-15
@@ -475,15 +481,18 @@ class TestReweight:
 
     def test_folded_pool_keeps_the_first_of_each_twin(self):
         candidates = subsample_dense_grid(8, 3, 400, seed=0)
-        pool = solvers._fold_twins(candidates)
-        assert (candidates.count, pool.count) == (77, 48)
+        rng = np.random.default_rng(52)
+        pairs = (rng.standard_normal((20, 3)), rng.standard_normal((20, 3)))
+        pool, M, _ = solvers._reweight_system(candidates, pairs, GaussianKernel(0.5),
+                                              None)
+        assert (candidates.count, len(pool), M.shape[1]) == (77, 48, 48)
         rows = [tuple(w) for w in candidates.points]
-        kept = [rows.index(tuple(w)) for w in pool.points]
+        kept = [rows.index(tuple(w)) for w in pool]
         assert kept == sorted(kept)
-        for i, w in zip(kept, pool.points):
-            mirror = tuple(0.0 - w)
-            assert mirror not in rows[:i]
-        assert solvers._fold_twins(pool) is pool
+        for i, w in zip(kept, pool):
+            assert tuple(0.0 - w) not in rows[:i]
+        again, _ = fold_twins(pool, np.ones(len(pool)))
+        np.testing.assert_array_equal(again, np.arange(len(pool)))
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_folding_keeps_the_estimate(self, monkeypatch, lam):
@@ -493,7 +502,8 @@ class TestReweight:
         kernel = GaussianKernel(0.5)
         folded = reweight(candidates, pairs, kernel, lam)
         with monkeypatch.context() as m:
-            m.setattr(solvers, "_fold_twins", lambda c: c)
+            m.setattr(solvers, "fold_twins",
+                      lambda points, weights: (np.arange(len(points)), weights))
             unfolded = reweight(candidates, pairs, kernel, lam)
         U = 1.5 * rng.standard_normal((2000, 3))
 
@@ -549,7 +559,7 @@ class TestBisectLambda:
     def test_steps_count_path_events(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=3, n=200,
                                                                pool=120, d=3)
-        p = solvers._fold_twins(candidates).count
+        p = fold_twins(candidates.points, candidates.weights)[0].size
         res = bisect_lambda(candidates, pairs, kernel, 5)
         assert 0 < res.steps <= 3 * p
         loose = bisect_lambda(candidates, pairs, kernel, 1000)
