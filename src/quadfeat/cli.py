@@ -268,9 +268,13 @@ def _format(v, rec) -> np.ndarray:
 
 
 def _write_csv(fh, Z: np.ndarray) -> None:
-    """Write the (n, c >= 1) float array ``Z`` to the binary file ``fh`` as
-    exactly the bytes of ``np.savetxt(fh, Z, delimiter=",")``."""
+    """Write the (n, c) float array ``Z`` to the binary file ``fh`` as
+    exactly the bytes of ``np.savetxt(fh, Z, delimiter=",")``: with no
+    columns, an empty line per row."""
     cols = Z.shape[1]
+    if cols == 0:
+        fh.write(b"\n" * Z.shape[0])
+        return
     flat = np.ascontiguousarray(Z, dtype=float).ravel()
     buf = np.empty(min(_CHUNK, flat.size), _RECORD)
     raw = buf.view(np.uint8).reshape(-1, _RECORD.itemsize)

@@ -26,8 +26,10 @@ one term of summed weight: a map folds its rule's twins once
 (``grids.fold_twins``) and estimates and embeds with the terms that are
 left.  A poly-exact rule [P; -P], [a/2; a/2] has D = |P|, and a
 subsampled grid at small d loses the twins it drew.  Dense and Smolyak
-grids are not folded: their D is their point count, and their factored
-estimate folds each one-dimensional rule instead.
+maps are not folded: their D is their point count, and their factored
+estimate folds each one-dimensional rule instead.  Read back from JSON,
+which keeps their method tag but not their structure record, they keep
+that D and sum over their points.
 
 A map caches one array for its frequencies: half of them, w_i / 2, as a
 read-only C-contiguous (d, D) array (``_half_frequencies``; halving is
@@ -59,7 +61,8 @@ or an ``np.memmap``.  Inputs with a NaN or infinite entry are refused,
 naming the first such row, before anything is written.
 
 The baselines are random Fourier features (i.i.d. normal points) and QMC
-features, Halton points mapped through the normal quantile (``inv_norm_cdf``).
+features, Halton points mapped through the normal quantile (``inv_norm_cdf``,
+the standard library's ``statistics.NormalDist().inv_cdf`` on each entry).
 """
 from __future__ import annotations
 
@@ -68,6 +71,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -164,9 +168,11 @@ class FeatureMap(_MapShell):
         """The points and weights of the estimate's cosine terms: the first
         of each pair of twins w, -w with the summed weight, since
         a cos(w'u) + b cos(-w'u) = (a + b) cos(w'u), and the grid's own
-        arrays when it has no twins or a ``structure`` record."""
+        arrays when it has no twins, a ``structure`` record, or the
+        ``dense`` or ``sparse`` tag, which JSON keeps where it drops the
+        record, so such a map read back keeps its point count D."""
         g = self.grid
-        if g.structure is None:
+        if g.structure is None and self.method not in ("dense", "sparse"):
             keep, weights = fold_twins(g.points, g.weights)
             if keep.size < g.count:
                 return g.points[keep], weights
@@ -358,69 +364,15 @@ def halton_points(d: int, D: int) -> np.ndarray:
     return r
 
 
-# Wichura's AS 241 (PPND16) rational approximations, numerator and
-# denominator coefficients from the highest power down, for |p - 0.5| <= 0.425
-# in r = 0.180625 - (p - 0.5)^2, and in the tails in r = sqrt(-log(min(p,
-# 1 - p))) - 1.6 for r <= 5 and r - 5 beyond
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0))
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0))
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0))
-
-
-def _horner(coefficients, r: np.ndarray) -> np.ndarray:
-    """The polynomial of ``coefficients`` (highest power first) at r."""
-    acc = coefficients[0] * r + coefficients[1]
-    for c in coefficients[2:]:
-        acc *= r
-        acc += c
-    return acc
-
-
 def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile, elementwise: Wichura's AS 241 (1988),
-    accurate to about 1e-16 relative, on whole arrays in the operation
-    order of ``statistics.NormalDist.inv_cdf``.  Each value is within two
-    ulp of it, and equal wherever numpy's ``log`` and ``sqrt`` round as
-    libm's do."""
+    """Standard normal quantile, elementwise: ``statistics.NormalDist().inv_cdf``
+    (Wichura's AS 241, accurate to about 1e-16 relative) on each entry, so
+    every value is the standard library's, bitwise."""
     p = np.asarray(p, dtype=float)
     if ((p <= 0) | (p >= 1)).any():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    x[central] = _horner(num, r) * qc / _horner(den, r)
-    tail = ~central
-    qt = q[tail]
-    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[tail], 1.0 - p[tail])))
-    xt = np.empty_like(r)
-    near = r <= 5.0
-    for part, shift, (num, den) in ((near, 1.6, _AS241_NEAR),
-                                    (~near, 5.0, _AS241_FAR)):
-        s = r[part] - shift
-        xt[part] = _horner(num, s) / _horner(den, s)
-    x[tail] = np.where(qt < 0.0, -xt, xt)
-    return x
+    return np.fromiter(map(NormalDist().inv_cdf, p.ravel().tolist()), float,
+                       p.size).reshape(p.shape)
 
 
 def qmc_halton(d: int, D: int, gamma: float) -> FeatureMap:
@@ -473,6 +425,8 @@ class AnovaFeatureMap(_MapShell):
                 raise ValueError(f"sub-map dimension {fm.d} does not match |S|={len(S)}")
             if max(S) > self.d or min(S) < 1:
                 raise ValueError(f"subset {S} outside 1..{self.d}")
+            if len(set(S)) != len(S):
+                raise ValueError(f"subset {S} has repeated indices")
 
     @property
     def count(self) -> int:

@@ -472,7 +472,7 @@ def grid_from_json(payload: dict) -> GridQuadrature:
 
 def save_grid(g: GridQuadrature, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(grid_to_json(g), fh)
+        fh.write(json.dumps(grid_to_json(g)))
 
 
 def load_grid(path: str) -> GridQuadrature:

@@ -189,12 +189,30 @@ class TestWriteCsv:
         Z = _with_neighbours([1e153, 1e-194, 1e-200]).reshape(1, -1)
         assert _written_bytes(Z) == _savetxt_bytes(Z)
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_columns(self, n):
+        # np.savetxt writes an empty line per row
+        Z = np.empty((n, 0))
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
     @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                    min_side=0, max_side=40)
                       .filter(lambda shape: shape[1] > 0)))
     def test_any_float_array(self, Z):
         assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+
+def test_embed_with_no_cosine_terms_writes_empty_rows(tmp_path, capsys):
+    # a large enough penalty leaves a reweighted map no terms
+    data = tmp_path / "six.csv"
+    np.savetxt(data, np.random.default_rng(3).standard_normal((6, 3)), delimiter=",")
+    out = tmp_path / "none.csv"
+    assert main(["embed", "--method", "reweighted", "--lambda", "1e9", "--D", "8",
+                 "--L", "4", "--pairs", "20", "--data", str(data),
+                 "--out", str(out)]) == 0
+    assert "6 rows x 0 features" in capsys.readouterr().out
+    assert out.read_bytes() == _savetxt_bytes(np.empty((6, 0)))
 
 
 def test_embed_subsampled_merges_duplicates(tmp_path, data_csv):

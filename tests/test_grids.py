@@ -1,5 +1,6 @@
 """Tests for dense, sparse, and subsampled grid constructions."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,14 +20,17 @@ from quadfeat.grids import (
     grid_from_json,
     grid_to_json,
     hermite_matrix,
+    load_grid,
     moment_multi_indices,
     moment_targets,
     monomial_matrix,
+    save_grid,
     sparse_grid,
     subsample_dense_grid,
     subsample_grid,
 )
 from quadfeat.quad1d import gauss_hermite
+from quadfeat.solvers import construct_poly_exact
 
 
 class TestDenseGrid:
@@ -319,6 +323,17 @@ def test_grid_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(back.points, g.points)
     np.testing.assert_array_equal(back.weights, g.weights)
     assert back.nonnegative == g.nonnegative
+    assert back.provenance == g.provenance
+
+
+def test_save_grid_load_grid_round_trip(tmp_path):
+    g = construct_poly_exact(2, 4, 120, seed=15)
+    path = tmp_path / "grid.json"
+    save_grid(g, str(path))
+    assert path.read_text() == json.dumps(grid_to_json(g))
+    back = load_grid(str(path))
+    np.testing.assert_array_equal(back.points, g.points)
+    np.testing.assert_array_equal(back.weights, g.weights)
     assert back.provenance == g.provenance
 
 
