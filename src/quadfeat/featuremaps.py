@@ -369,7 +369,7 @@ def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
     (Wichura's AS 241, accurate to about 1e-16 relative) on each entry, so
     every value is the standard library's, bitwise."""
     p = np.asarray(p, dtype=float)
-    if ((p <= 0) | (p >= 1)).any():
+    if not ((p > 0) & (p < 1)).all():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     return np.fromiter(map(NormalDist().inv_cdf, p.ravel().tolist()), float,
                        p.size).reshape(p.shape)

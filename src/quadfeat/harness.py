@@ -28,7 +28,7 @@ from .featuremaps import (
     subsampled_feature_map,
 )
 from .grids import dense_grid, sparse_grid, subsample_dense_grid
-from .kernels import AnovaKernel, GaussianKernel, kernel_values, load_anova
+from .kernels import AnovaKernel, GaussianKernel, load_anova
 from .quad1d import MAX_RULE_SIZE
 from .solvers import bisect_lambda, construct_poly_exact, reweight
 
@@ -158,7 +158,7 @@ def displacement_sample(d: int, M: float, n: int, seed: int) -> np.ndarray:
 def error_stats(fm, kernel, M: float, n: int, seed: int) -> tuple[float, float]:
     """(max, rms) of |k - k~| over one displacement sample set."""
     U = displacement_sample(fm.d, M, n, seed)
-    diff = kernel_values(kernel, U) - fm.approx(U)
+    diff = kernel.value(U) - fm.approx(U)
     return float(np.abs(diff).max()), float(np.sqrt(np.mean(diff**2)))
 
 
@@ -174,7 +174,7 @@ def rms_error(fm, kernel, pairs) -> float:
     if X.shape != Y.shape or X.shape[0] < 1:
         raise ValueError("pairs must be matching non-empty arrays")
     U = X - Y
-    diff = kernel_values(kernel, U) - fm.approx(U)
+    diff = kernel.value(U) - fm.approx(U)
     return float(np.sqrt(np.mean(diff**2)))
 
 

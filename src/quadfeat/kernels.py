@@ -4,7 +4,8 @@ Both are shift invariant, so everything evaluates on the displacement
 u = x - y.  The Gaussian kernel is k(u) = exp(-gamma * |u|^2); gamma = 1/2
 is the properly scaled kernel whose spectrum is the standard normal.
 An ANOVA kernel sums products of the one-dimensional Gaussian factor over
-a hypergraph of index subsets.
+a hypergraph of index subsets.  Each evaluates through its ``value``
+method, on one displacement (d,) or a batch (n, d).
 """
 from __future__ import annotations
 
@@ -102,18 +103,6 @@ def anova_stats(k: AnovaKernel) -> tuple[int, int, int]:
         for i in S:
             membership[i - 1] += 1
     return rank, int(membership.max()), len(k.subsets)
-
-
-def kernel_values(kernel, U: np.ndarray) -> np.ndarray:
-    """Evaluate an exact kernel on a batch of displacements (n, d).
-
-    Accepts GaussianKernel, AnovaKernel, or any callable of one
-    displacement row.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if hasattr(kernel, "value"):
-        return np.asarray(kernel.value(U), dtype=float)
-    return np.array([float(kernel(u)) for u in U])
 
 
 def load_anova(path: str) -> AnovaKernel:

@@ -69,13 +69,13 @@ def gauss_hermite(L: int) -> QuadratureRule1D:
 
 
 def integrate_1d(rule: QuadratureRule1D, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Apply the rule: sum_l a_l f(w_l).  ``f`` may be scalar or vectorized."""
-    try:
-        values = np.asarray(f(rule.nodes), dtype=float)
-        if values.shape != rule.nodes.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        values = np.array([float(f(x)) for x in rule.nodes])
+    """Apply the rule: sum_l a_l f(w_l).  ``f`` is called once, on the whole
+    node array, and must return one value per node; a result of any other
+    shape raises ValueError naming that shape."""
+    values = np.asarray(f(rule.nodes), dtype=float)
+    if values.shape != rule.nodes.shape:
+        raise ValueError(f"f returned shape {values.shape}, not the nodes' "
+                         f"shape {rule.nodes.shape}")
     return float(rule.weights @ values)
 
 

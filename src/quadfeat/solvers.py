@@ -20,9 +20,10 @@ On top of it sit
   Lawson-Hanson takes fewer steps; the rule is checked against every
   monomial moment, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
-  squared kernel error over sampled pairs, with an optional l1 penalty,
-  and ``bisect_lambda``, which picks the penalty for a target support
-  size.  Every penalized fit is read off the exact nonnegative-lasso path
+  squared error of a ``GaussianKernel`` over sampled pairs, given as one
+  (X, Y) pair of (n, d) arrays, with an optional l1 penalty, and
+  ``bisect_lambda``, which picks the penalty for a target support size.
+  Every penalized fit is read off the exact nonnegative-lasso path
   (positive LARS), walked from the largest useful penalty down, one
   entering or leaving column per step; the path updates the same
   passive-set factor, and each step costs O(np).  Lawson-Hanson
@@ -36,7 +37,7 @@ governs, so the weights are deliberately not renormalized to sum to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .grids import (
     hermite_matrix,
     moment_multi_indices,
 )
-from .kernels import AnovaKernel, GaussianKernel, kernel_values
+from .kernels import GaussianKernel
 
 # an entering column whose part orthogonal to the passive columns is below
 # this fraction of its norm lies numerically in their span
@@ -75,7 +76,8 @@ def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     ``tol * ||M^T b||`` and are non-negative off the support, except on
     columns numerically dependent on the support.  Raises
     ConvergenceError (best iterate attached) past ``max_iter`` outer
-    iterations, default 3p.
+    iterations, default 3p.  A NaN or infinite entry of ``M`` or ``b``
+    raises ValueError before the first iteration.
     """
     return _lawson_hanson(np.asarray(M, dtype=float), np.asarray(b, dtype=float),
                           tol=tol, max_iter=max_iter)
@@ -192,6 +194,8 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
     """
     if M.ndim != 2 or b.shape != (M.shape[0],):
         raise ValueError("M must be (n, p) and b length n")
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ValueError("M and b must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, p = M.shape
@@ -317,47 +321,36 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
                    f"residual={residual:.3e})")
 
 
-PairsLike = Union[Sequence[tuple[np.ndarray, np.ndarray]],
-                  tuple[np.ndarray, np.ndarray]]
-
-
-def _pairs_to_arrays(pairs: PairsLike) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, tuple) and len(pairs) == 2 and np.ndim(pairs[0]) == 2:
-        X, Y = (np.asarray(p, dtype=float) for p in pairs)
-    else:
-        X = np.array([np.asarray(x, dtype=float) for x, _ in pairs])
-        Y = np.array([np.asarray(y, dtype=float) for _, y in pairs])
+def _displacements(pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """x_l - y_l for the pairs (X, Y), two matching (n, d) arrays."""
+    X, Y = (np.asarray(p, dtype=float) for p in pairs)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("pairs must give matching (n, d) arrays with n >= 1")
-    return X, Y
+        raise ValueError("pairs must be (X, Y), matching (n, d) arrays with "
+                         f"n >= 1; got shapes {X.shape} and {Y.shape}")
+    U = X - Y
+    finite = np.isfinite(U).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"pairs must be finite; row {np.argmin(finite)} is not")
+    return U
 
 
-def _kernel_gamma(kernel, gamma: Optional[float]) -> float:
-    if gamma is not None:
-        return float(gamma)
-    if isinstance(kernel, GaussianKernel):
-        return kernel.gamma
-    if isinstance(kernel, AnovaKernel):
-        return kernel.base.gamma
-    raise ValueError("gamma is required when the kernel is a bare callable")
-
-
-def _reweight_system(candidates: GridQuadrature, pairs: PairsLike, kernel,
-                     gamma: Optional[float]):
+def _reweight_system(candidates: GridQuadrature,
+                     pairs: tuple[np.ndarray, np.ndarray],
+                     kernel: GaussianKernel):
     """The twin-folded pool's points, M[l, i] = cos(w_i'(x_l - y_l)) and
     b_l = k(x_l - y_l).  A twin -w only repeats the column of w, so the
     first of each pair, in candidate order, is kept."""
+    if not isinstance(kernel, GaussianKernel):
+        raise TypeError("reweighting fits a GaussianKernel, got "
+                        f"{type(kernel).__name__}")
     keep, _ = fold_twins(candidates.points, candidates.weights)
     pool = candidates.points[keep]
-    X, Y = _pairs_to_arrays(pairs)
-    g = _kernel_gamma(kernel, gamma)
-    freqs = pool * np.sqrt(2.0 * g)
-    U = X - Y
+    U = _displacements(pairs)
+    freqs = pool * np.sqrt(2.0 * kernel.gamma)
     # np.cos, not the estimator's tangent identity (grids._cos_from_half): the
     # fitted supports and weights depend on every bit of this system
     system = np.cos(U @ freqs.T)
-    targets = kernel_values(kernel, U)
-    return pool, system, targets
+    return pool, system, kernel.value(U)
 
 
 def _fitted_grid(candidates: GridQuadrature, pool: np.ndarray, system: np.ndarray,
@@ -368,7 +361,7 @@ def _fitted_grid(candidates: GridQuadrature, pool: np.ndarray, system: np.ndarra
     r = system[:, keep] @ a - targets
     return GridQuadrature(
         pool[keep], a, normalized=False,
-        provenance=f"reweighted({how}, n={n}, sum_a={a.sum()!r}, "
+        provenance=f"reweighted({how}, n={n}, sum_a={float(a.sum())!r}, "
                    f"mse={float(r @ r) / n!r}) of {candidates.provenance}")
 
 
@@ -381,25 +374,26 @@ def _unpenalized_fit(system: np.ndarray, targets: np.ndarray,
     return keep, sol.a[keep]
 
 
-def reweight(candidates: GridQuadrature, pairs: PairsLike, kernel,
-             lam: float = 0.0, gamma: Optional[float] = None) -> GridQuadrature:
+def reweight(candidates: GridQuadrature, pairs: tuple[np.ndarray, np.ndarray],
+             kernel: GaussianKernel, lam: float = 0.0) -> GridQuadrature:
     """Refit grid weights to observed kernel values.
 
-    Builds M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
+    ``pairs`` is (X, Y), two matching (n, d) arrays of finite entries, and
+    ``kernel`` a GaussianKernel: its ``gamma`` scales the nodes by
+    sqrt(2 gamma) and its ``value`` gives the targets.  Builds
+    M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
     minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0: by Lawson-Hanson at
     lam = 0, on the l1 path otherwise.  Of each pair of twins w, -w in the
     candidates only the first is fitted, since both give the same column.
     Zero-weight points are dropped, and the weight sum is left at its
-    fitted value.
-    ``kernel`` may be a GaussianKernel, AnovaKernel, or a callable of one
-    displacement row (pass ``gamma`` explicitly in the callable case; it sets
-    the sqrt(2 gamma) node scaling).
+    fitted value.  Another kernel type raises TypeError; mismatched pairs,
+    or a pair row with a NaN or infinite displacement, raise ValueError.
     """
     if not lam >= 0.0:
         raise ValueError(f"lam must be non-negative, got {lam!r}")
     if not candidates.nonnegative:
         raise ValueError("candidate grids must have non-negative weights")
-    pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
+    pool, system, targets = _reweight_system(candidates, pairs, kernel)
     if lam == 0.0:
         keep, a = _unpenalized_fit(system, targets)
     else:
@@ -567,8 +561,9 @@ class BisectResult:
     steps: int = 0
 
 
-def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
-                  D: int, gamma: Optional[float] = None) -> BisectResult:
+def bisect_lambda(candidates: GridQuadrature,
+                  pairs: tuple[np.ndarray, np.ndarray], kernel: GaussianKernel,
+                  D: int) -> BisectResult:
     """Choose the l1 penalty at which ``D`` points survive.
 
     Walks the exact path of the penalized fit (1/n)||Ma - b||^2 + lam 1'a,
@@ -586,7 +581,8 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     passing ``D``, its end, the unpenalized fit, is returned with
     lam = 0.
 
-    Twins w, -w in the candidates are folded as in ``reweight``.
+    ``pairs`` and ``kernel`` are as in ``reweight``, and twins w, -w in
+    the candidates are folded as there.
     The penalty only selects the support: the weights are refit at lam = 0
     on the surviving points, so hitting a small target does not cost
     systematic shrinkage of the weight sum; ``reweight`` at ``lam`` gives
@@ -594,7 +590,7 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
     """
     if D < 1:
         raise ValueError("D must be positive")
-    pool, system, targets = _reweight_system(candidates, pairs, kernel, gamma)
+    pool, system, targets = _reweight_system(candidates, pairs, kernel)
     n = system.shape[0]
     chosen = None
     for segment in _nonneg_lasso_path(system, targets):
@@ -607,11 +603,11 @@ def bisect_lambda(candidates: GridQuadrature, pairs: PairsLike, kernel,
         return BisectResult(0.0, _fitted_grid(candidates, pool, system, targets,
                                               keep, a, "lam=0.0"), None, None)
 
-    lam = 2.0 * chosen.lo / n
+    lam = float(2.0 * chosen.lo / n)
     support, _ = chosen.at(chosen.lo)
     keep, a = _unpenalized_fit(system[:, support], targets,
                                start=np.arange(support.size))
     grid = _fitted_grid(candidates, pool, system, targets, support[keep], a,
                         f"lam={lam!r}, refit at lam=0 on its support")
-    return BisectResult(lam, grid, (segment.hi + segment.lo) / n,
+    return BisectResult(lam, grid, float((segment.hi + segment.lo) / n),
                         segment.support.size, segment.events)

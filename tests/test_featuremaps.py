@@ -140,6 +140,10 @@ class TestInverseNormalCdf:
         with pytest.raises(ValueError):
             inv_norm_cdf(np.array([0.0]))
 
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="inside"):
+            inv_norm_cdf(np.array([np.nan, 0.5]))
+
     @pytest.mark.parametrize("where", ["central edge", "r = 5", "deep tail",
                                        "whole range", "halton"])
     def test_within_two_ulp_of_normal_dist(self, where):

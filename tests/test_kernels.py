@@ -14,7 +14,6 @@ from quadfeat.kernels import (
     anova_stats,
     eval_anova,
     eval_gaussian,
-    kernel_values,
     load_anova,
     random_anova,
     save_anova,
@@ -173,12 +172,6 @@ def test_malformed_structure_file_names_its_field(tmp_path, payload, key):
         load_anova(str(path))
     assert exc.value.key == key
     assert repr(key) in str(exc.value)
-
-
-def test_kernel_values_accepts_callables():
-    U = np.random.default_rng(4).standard_normal((10, 3))
-    got = kernel_values(lambda u: float(np.cos(u.sum())), U)
-    np.testing.assert_allclose(got, np.cos(U.sum(axis=1)))
 
 
 def test_invalid_subsets_rejected():

@@ -151,11 +151,9 @@ class TestIntegrate1D:
         # 4 <= 2*3 - 1, so the L=3 rule hits E[w^4] = 3 exactly
         assert integrate_1d(gauss_hermite(3), lambda w: w**4) == pytest.approx(3.0)
 
-    def test_scalar_only_callable(self):
-        rule = gauss_hermite(4)
-        vectorized = integrate_1d(rule, lambda w: w**2)
-        scalar = integrate_1d(rule, lambda w: float(w) ** 2)
-        assert scalar == pytest.approx(vectorized)
+    def test_result_not_one_per_node_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            integrate_1d(gauss_hermite(4), lambda w: 1.0)
 
 
 def test_double_factorial_values():

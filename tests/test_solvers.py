@@ -23,7 +23,7 @@ from quadfeat.grids import (
     subsample_dense_grid,
     subsample_grid,
 )
-from quadfeat.kernels import GaussianKernel
+from quadfeat.kernels import AnovaKernel, GaussianKernel
 from quadfeat.solvers import (
     bisect_lambda,
     construct_poly_exact,
@@ -129,6 +129,17 @@ class TestNnls:
         np.testing.assert_allclose(sol.a, [1.0, 0.0])
         assert sol.residual_norm == pytest.approx(1.0)
         assert sol.active_set == (1,)
+
+    @pytest.mark.parametrize("where", ["nan in b", "inf in M"])
+    def test_non_finite_input_refused(self, where):
+        rng = np.random.default_rng(61)
+        M, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
+        if where == "nan in b":
+            b[2] = np.nan
+        else:
+            M[1, 3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            nnls(M, b)
 
     def test_exact_fit(self):
         sol = nnls(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
@@ -397,8 +408,12 @@ class TestReweight:
         candidates = GridQuadrature(
             np.vstack([omega, rng.standard_normal((20, d))]),
             np.full(21, 1.0 / 21))
-        target = lambda u: float(0.7 * np.cos(u @ omega))
-        g = reweight(candidates, (X, Y), target, 0.0, gamma=0.5)
+
+        class PlantedAtom(GaussianKernel):
+            def value(self, u):
+                return 0.7 * np.cos(u @ omega)
+
+        g = reweight(candidates, (X, Y), PlantedAtom(0.5), 0.0)
         fitted = np.cos((X - Y) @ (g.points * 1.0).T) @ g.weights
         truth = 0.7 * np.cos((X - Y) @ omega)
         np.testing.assert_allclose(fitted, truth, atol=1e-8)
@@ -425,12 +440,39 @@ class TestReweight:
         assert not g.normalized
         assert "sum_a=" in g.provenance
 
-    def test_pairs_accepted_as_list_of_tuples(self):
-        candidates, (X, Y), kernel = synthetic_reweight_problem(seed=41, n=20)
-        as_arrays = reweight(candidates, (X, Y), kernel, 0.0)
-        as_tuples = reweight(candidates, list(zip(X, Y)), kernel, 0.0)
-        np.testing.assert_array_equal(as_arrays.points, as_tuples.points)
-        np.testing.assert_array_equal(as_arrays.weights, as_tuples.weights)
+    def test_pairs_as_list_mean_the_tuple(self):
+        # with two rows, [X, Y] could also be read as two (x, y) pairs;
+        # it must be read as (X, Y)
+        candidates, (X, Y), kernel = synthetic_reweight_problem(seed=41, n=2)
+        as_tuple = reweight(candidates, (X, Y), kernel, 0.0)
+        as_list = reweight(candidates, [X, Y], kernel, 0.0)
+        np.testing.assert_array_equal(as_tuple.points, as_list.points)
+        np.testing.assert_array_equal(as_tuple.weights, as_list.weights)
+        assert as_tuple.provenance == as_list.provenance
+
+    @pytest.mark.parametrize("kernel", [
+        AnovaKernel(((1, 2), (3,)), GaussianKernel(0.5), 3),
+        lambda u: np.exp(-0.5 * np.sum(u * u, axis=-1)),
+    ], ids=["anova", "callable"])
+    def test_other_kernel_types_refused(self, kernel):
+        candidates, pairs, _ = synthetic_reweight_problem()
+        name = type(kernel).__name__
+        with pytest.raises(TypeError, match=name):
+            reweight(candidates, pairs, kernel, 0.0)
+        with pytest.raises(TypeError, match=name):
+            bisect_lambda(candidates, pairs, kernel, 3)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_refused_by_row(self, lam, bad):
+        candidates, (X, Y), kernel = synthetic_reweight_problem(seed=43)
+        X = X.copy()
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="row 7 is not"):
+            if lam is None:
+                bisect_lambda(candidates, (X, Y), kernel, 3)
+            else:
+                reweight(candidates, (X, Y), kernel, lam)
 
     def test_matches_projected_gradient_reference(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=13, n=40,
@@ -467,7 +509,7 @@ class TestReweight:
                                               seed=trial)
             pairs = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
             kernel = GaussianKernel(0.5)
-            pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+            pool, M, b = solvers._reweight_system(candidates, pairs, kernel)
             wider += M.shape[1] > n
             shift = float(rng.uniform(0.05, 1.0)) * max(float((M.T @ b).max()), 1e-3)
             lam = 2.0 * shift / n
@@ -483,8 +525,7 @@ class TestReweight:
         candidates = subsample_dense_grid(8, 3, 400, seed=0)
         rng = np.random.default_rng(52)
         pairs = (rng.standard_normal((20, 3)), rng.standard_normal((20, 3)))
-        pool, M, _ = solvers._reweight_system(candidates, pairs, GaussianKernel(0.5),
-                                              None)
+        pool, M, _ = solvers._reweight_system(candidates, pairs, GaussianKernel(0.5))
         assert (candidates.count, len(pool), M.shape[1]) == (77, 48, 48)
         rows = [tuple(w) for w in candidates.points]
         kept = [rows.index(tuple(w)) for w in pool]
@@ -540,6 +581,13 @@ class TestBisectLambda:
         # the rejected neighbor really does overshoot the target
         neighbor = reweight(candidates, pairs, kernel, res.lam_below)
         assert neighbor.count > target
+
+    def test_results_are_plain_floats(self):
+        candidates, pairs, kernel = synthetic_reweight_problem(seed=23, n=100,
+                                                               pool=60)
+        res = bisect_lambda(candidates, pairs, kernel, 5)
+        assert type(res.lam) is float and type(res.lam_below) is float
+        assert "np." not in res.grid.provenance
 
     def test_refit_removes_penalty_shrinkage(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=29, n=100,
@@ -656,7 +704,7 @@ class TestPath:
     def test_cold_solves_agree_at_segment_midpoints(self, case):
         """Every segment midpoint satisfies the KKT conditions."""
         candidates, pairs, kernel, target = path_problem(case)
-        pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+        pool, M, b = solvers._reweight_system(candidates, pairs, kernel)
         # folding leaves one column per distinct cos column
         assert np.linalg.matrix_rank(M) == M.shape[1]
         segments = list(solvers._nonneg_lasso_path(M, b))
@@ -680,7 +728,7 @@ class TestPath:
         breakpoint itself, read from the segment above, and every penalty
         near one has positive weights."""
         candidates, pairs, kernel, _ = path_problem(case)
-        pool, M, b = solvers._reweight_system(candidates, pairs, kernel, None)
+        pool, M, b = solvers._reweight_system(candidates, pairs, kernel)
         eps = np.finfo(float).eps
         above = np.zeros(0, dtype=np.intp)
         for seg in solvers._nonneg_lasso_path(M, b):
