@@ -75,8 +75,6 @@ FLAGS = (
     ("--n-eval", "n_eval", int, None, "error samples per cell (100000)"),
     ("--data", "data", str, None, "dataset CSV path"),
     ("--pairs", "pairs", int, None, "training pairs for reweighting (500)"),
-    ("--lambda", "lam", float, None, "fixed l1 penalty for reweighting "
-     "(otherwise the l1 path keeps at most --D points)"),
     ("--anova", "anova", str, None, "ANOVA structure JSON path"),
 )
 LISTS = ("methods", "D", "M", "seeds")

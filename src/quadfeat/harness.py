@@ -30,7 +30,7 @@ from .featuremaps import (
 from .grids import dense_grid, sparse_grid, subsample_dense_grid
 from .kernels import AnovaKernel, GaussianKernel, load_anova
 from .quad1d import MAX_RULE_SIZE
-from .solvers import bisect_lambda, construct_poly_exact, reweight
+from .solvers import _displacements, bisect_lambda, construct_poly_exact
 
 CLI_METHODS = tuple(METHOD_TAGS)
 
@@ -168,12 +168,9 @@ def max_error_empirical(fm, kernel, M: float, n: int, seed: int) -> float:
 
 
 def rms_error(fm, kernel, pairs) -> float:
-    """Root mean squared error of k~ against k over explicit pairs."""
-    X = np.asarray(pairs[0], dtype=float)
-    Y = np.asarray(pairs[1], dtype=float)
-    if X.shape != Y.shape or X.shape[0] < 1:
-        raise ValueError("pairs must be matching non-empty arrays")
-    U = X - Y
+    """Root mean squared error of k~ against k over explicit pairs, given
+    and checked as in ``reweight``."""
+    U = _displacements(pairs)
     diff = kernel.value(U) - fm.approx(U)
     return float(np.sqrt(np.mean(diff**2)))
 
@@ -231,11 +228,10 @@ class SweepConfig:
     degree: int = 2
     data: Optional[str] = None
     pairs: int = 500
-    lam: Optional[float] = None
     anova: Optional[str] = None
 
     _KEYS = ("methods", "d", "gamma", "D", "M", "seeds", "n_eval", "L",
-             "level", "degree", "data", "pairs", "lam", "anova")
+             "level", "degree", "data", "pairs", "anova")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -275,8 +271,6 @@ class SweepConfig:
         for key in ("data", "anova"):
             if raw.get(key) is not None:
                 setattr(cfg, key, str(raw[key]))
-        if raw.get("lam") is not None:
-            cfg.lam = _real(raw["lam"], "lam")
         for m in cfg.methods:
             if m not in CLI_METHODS:
                 raise ConfigError(f"unknown method {m!r}", key="methods")
@@ -290,8 +284,7 @@ class SweepConfig:
                 ("L", cfg.L <= MAX_RULE_SIZE, f"<= {MAX_RULE_SIZE}"),
                 ("level", cfg.level <= math.log2(MAX_RULE_SIZE),
                  f"<= log2({MAX_RULE_SIZE}), so that 2^level <= {MAX_RULE_SIZE}"),
-                ("degree", cfg.degree % 2 == 0, "even"),
-                ("lam", cfg.lam is None or 0 <= cfg.lam < math.inf, "finite and >= 0")):
+                ("degree", cfg.degree % 2 == 0, "even")):
             if not ok:
                 raise ConfigError(f"sweep config key {key!r} must be {rule}", key=key)
         return cfg
@@ -318,8 +311,7 @@ def config_dataset(config: SweepConfig,
 
 def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
                      L: int = 8, level: int = 2, degree: int = 2,
-                     data: Optional[Dataset] = None, pairs: int = 500,
-                     lam: Optional[float] = None) -> FeatureMap:
+                     data: Optional[Dataset] = None, pairs: int = 500) -> FeatureMap:
     """Construct one feature map by CLI method name."""
     if method == "rff":
         return rff(d, D, gamma, seed)
@@ -337,35 +329,30 @@ def build_method_map(method: str, d: int, D: int, gamma: float, seed: int,
     if method == "reweighted":
         if data is None:
             raise ConfigError("reweighted method needs a dataset", key="data")
-        return _reweighted_map(L, d, D, gamma, seed, sample_pairs(data, pairs, seed),
-                               lam)
+        return _reweighted_map(L, d, D, gamma, seed, sample_pairs(data, pairs, seed))
     raise ConfigError(f"unknown method {method!r}", key="methods")
 
 
 def _reweighted_map(L: int, d: int, D: int, gamma: float, seed: int,
-                    train: tuple[np.ndarray, np.ndarray],
-                    lam: Optional[float]) -> FeatureMap:
-    """Reweighted draws of 4 D points from the L-point lattice: at the fixed
-    penalty ``lam``, or else at the one the l1 path picks to keep D points."""
+                    train: tuple[np.ndarray, np.ndarray]) -> FeatureMap:
+    """Reweighted draws of 4 D points from the L-point lattice, at most D of
+    them kept: the support ``bisect_lambda`` selects on the l1 path."""
     pool = subsample_dense_grid(L, d, 4 * D, seed)
-    kernel = GaussianKernel(gamma)
-    if lam is not None:
-        grid = reweight(pool, train, kernel, lam)
-    else:
-        grid = bisect_lambda(pool, train, kernel, D).grid
+    grid = bisect_lambda(pool, train, GaussianKernel(gamma), D).grid
     return FeatureMap(grid, "reweighted", gamma)
 
 
 def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
                     L: int = 8, level: int = 2, degree: int = 2,
-                    data: Optional[Dataset] = None, pairs: int = 500,
-                    lam: Optional[float] = None) -> AnovaFeatureMap:
+                    data: Optional[Dataset] = None,
+                    pairs: int = 500) -> AnovaFeatureMap:
     """Per-subset feature maps for an ANOVA kernel, one seed stream each.
 
     ``D_S`` is the per-subset feature count; the composite has
     sum over S of D_S quadrature points.  The reweighted method fits each
     sub-kernel on its own coordinates, reusing one shared draw of training
-    pairs across subsets, at the penalty ``lam`` as in ``build_method_map``.
+    pairs across subsets, and keeps at most ``D_S`` points of each, as in
+    ``build_method_map``.
     """
     gamma = kernel.base.gamma
     train = sample_pairs(data, pairs, seed) if data is not None else None
@@ -378,7 +365,7 @@ def build_anova_map(kernel: AnovaKernel, method: str, D_S: int, seed: int,
                 raise ConfigError("reweighted method needs a dataset", key="data")
             idx = np.array(S) - 1
             fm = _reweighted_map(L, dim, D_S, gamma, sub_seed,
-                                 (train[0][:, idx], train[1][:, idx]), lam)
+                                 (train[0][:, idx], train[1][:, idx]))
         else:
             fm = build_method_map(method, dim, D_S, gamma, sub_seed,
                                   L=L, level=level, degree=degree)
@@ -391,7 +378,7 @@ def build_map(config: SweepConfig, kernel: Union[GaussianKernel, AnovaKernel],
     """One cell's feature map: ``build_anova_map`` for an ANOVA kernel,
     ``build_method_map`` for the Gaussian one."""
     options = dict(L=config.L, level=config.level, degree=config.degree,
-                   data=data, pairs=config.pairs, lam=config.lam)
+                   data=data, pairs=config.pairs)
     if isinstance(kernel, AnovaKernel):
         return build_anova_map(kernel, method, D, seed, **options)
     return build_method_map(method, config.d, D, config.gamma, seed, **options)

@@ -21,15 +21,15 @@ On top of it sit
   monomial moment, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared error of a ``GaussianKernel`` over sampled pairs, given as one
-  (X, Y) pair of (n, d) arrays, with an optional l1 penalty, and
-  ``bisect_lambda``, which picks the penalty for a target support size.
-  Every penalized fit is read off the exact nonnegative-lasso path
-  (positive LARS), walked from the largest useful penalty down, one
-  entering or leaving column per step; the path updates the same
-  passive-set factor, and each step costs O(np).  Lawson-Hanson
-  solves the unpenalized fits.  Both fold each pair of twins w, -w of the
-  candidates into one column first (``grids.fold_twins``, the fold every
-  feature map makes of its rule).
+  (X, Y) pair of (n, d) arrays, by Lawson-Hanson, and ``bisect_lambda``,
+  which keeps at most D of its points.  It walks the exact
+  nonnegative-lasso path (positive LARS) from the largest useful penalty
+  down, one entering or leaving column per step, reading only its
+  breakpoints; the path updates the same passive-set factor, and each
+  step costs O(np).  The support it selects is refit by Lawson-Hanson.
+  Both fold each pair of twins w, -w of the candidates into one column
+  first (``grids.fold_twins``, the fold every feature map makes of its
+  rule).
 
 Reweighted grids keep their fitted scale: the least-squares objective
 governs, so the weights are deliberately not renormalized to sum to 1.
@@ -322,7 +322,10 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
 
 
 def _displacements(pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """x_l - y_l for the pairs (X, Y), two matching (n, d) arrays."""
+    """x_l - y_l for the pairs (X, Y), two matching (n, d) arrays: the one
+    parse of pairs, for reweighting and ``harness.rms_error``."""
+    if len(pairs) != 2:
+        raise ValueError(f"pairs must be (X, Y), two arrays; got {len(pairs)}")
     X, Y = (np.asarray(p, dtype=float) for p in pairs)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("pairs must be (X, Y), matching (n, d) arrays with "
@@ -368,52 +371,49 @@ def _fitted_grid(candidates: GridQuadrature, pool: np.ndarray, system: np.ndarra
 def _unpenalized_fit(system: np.ndarray, targets: np.ndarray,
                      start: Optional[np.ndarray] = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Support and weights of the Lawson-Hanson fit at lam = 0."""
+    """Support and weights of the Lawson-Hanson fit."""
     sol = _lawson_hanson(system, targets, tol=1e-10, max_iter=None, start=start)
     keep = np.flatnonzero(sol.a > 0.0)
     return keep, sol.a[keep]
 
 
 def reweight(candidates: GridQuadrature, pairs: tuple[np.ndarray, np.ndarray],
-             kernel: GaussianKernel, lam: float = 0.0) -> GridQuadrature:
+             kernel: GaussianKernel) -> GridQuadrature:
     """Refit grid weights to observed kernel values.
 
     ``pairs`` is (X, Y), two matching (n, d) arrays of finite entries, and
     ``kernel`` a GaussianKernel: its ``gamma`` scales the nodes by
     sqrt(2 gamma) and its ``value`` gives the targets.  Builds
     M[l, i] = cos(w_i'(x_l - y_l)) and b_l = k(x_l - y_l), then
-    minimizes (1/n)||Ma - b||^2 + lam 1'a over a >= 0: by Lawson-Hanson at
-    lam = 0, on the l1 path otherwise.  Of each pair of twins w, -w in the
-    candidates only the first is fitted, since both give the same column.
-    Zero-weight points are dropped, and the weight sum is left at its
-    fitted value.  Another kernel type raises TypeError; mismatched pairs,
-    or a pair row with a NaN or infinite displacement, raise ValueError.
+    minimizes (1/n)||Ma - b||^2 over a >= 0 by Lawson-Hanson, with no
+    penalty.  Of each pair of twins w, -w in the candidates only the first
+    is fitted, since both give the same column.  Zero-weight points are
+    dropped, and the weight sum is left at its fitted value.  Another
+    kernel type raises TypeError; ``pairs`` that are not two arrays,
+    mismatched pairs, or a pair row with a NaN or infinite displacement
+    raise ValueError.  ``bisect_lambda`` bounds the support size.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be non-negative, got {lam!r}")
     if not candidates.nonnegative:
         raise ValueError("candidate grids must have non-negative weights")
     pool, system, targets = _reweight_system(candidates, pairs, kernel)
-    if lam == 0.0:
-        keep, a = _unpenalized_fit(system, targets)
-    else:
-        # (1/n)||Ma-b||^2 + lam 1'a  ==  (2/n) * (0.5||Ma-b||^2 + (n lam / 2) 1'a)
-        keep, a = _path_solution(system, targets, 0.5 * system.shape[0] * lam)
-    return _fitted_grid(candidates, pool, system, targets, keep, a, f"lam={lam!r}")
+    keep, a = _unpenalized_fit(system, targets)
+    return _fitted_grid(candidates, pool, system, targets, keep, a, "lam=0.0")
 
 
-# a penalty round-tripped through lam = 2s/n lands within 2 eps of s
+# a segment shorter than this fraction of its upper end is one breakpoint
+# to within rounding: the column entering at hi has only a few-ulp weight at lo
 _ROUNDS_TO = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class _PathSegment:
-    """One linear piece of the nonnegative-lasso path.
+    """One linear piece of the nonnegative-lasso path, read at its ends.
 
     For hi >= s >= lo the solution is supported on the columns ``support``,
     with coefficients moving linearly from ``a_hi`` at s = hi to ``a_lo`` at
-    s = lo.  ``entered`` is the position in ``support`` of the column whose
-    entry opened the segment at hi, its coefficient exactly 0 there, and
+    s = lo; ``low_end`` gives the solution at the breakpoint lo.
+    ``entered`` is the position in ``support`` of the column whose entry
+    opened the segment at hi, its coefficient exactly 0 there, and
     ``exits`` that of the column that leaves at lo, each None if that
     breakpoint is another kind of event.  ``events`` counts the entries and
     exits walked to reach the segment, the one that opened it included.
@@ -428,26 +428,17 @@ class _PathSegment:
     entered: Optional[int]
     exits: Optional[int]
 
-    def at(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Support and coefficients at hi >= s >= lo.  A penalty taken from
-        a breakpoint may round-trip to just inside the segment, so the
-        entering column is dropped where s rounds to hi and the exiting one
-        where s rounds to lo: the breakpoint decides, not the few-ulp weight
-        the column would keep there."""
-        # interpolated from the nearer end, so that a weight vanishing at the
-        # other end stays positive this side of it
-        if s - self.lo <= self.hi - s:
-            near, far, t = self.a_lo, self.a_hi, s - self.lo
-        else:
-            near, far, t = self.a_hi, self.a_lo, self.hi - s
-        # (t = 0 at either end, and on a segment of zero length)
-        a = near + t / (self.hi - self.lo) * (far - near) if t else near
-        keep = np.ones(a.size, dtype=bool)
-        if self.entered is not None and self.hi - s <= _ROUNDS_TO * self.hi:
+    def low_end(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support and coefficients at s = lo.  The column that exits at lo
+        is dropped, and so is the entering one when the segment is shorter
+        than ``_ROUNDS_TO * hi``: the breakpoint decides, not the few-ulp
+        weight the column would keep there."""
+        keep = np.ones(self.a_lo.size, dtype=bool)
+        if self.entered is not None and self.hi - self.lo <= _ROUNDS_TO * self.hi:
             keep[self.entered] = False
-        if self.exits is not None and s - self.lo <= _ROUNDS_TO * self.lo:
+        if self.exits is not None:
             keep[self.exits] = False
-        return self.support[keep], a[keep]
+        return self.support[keep], self.a_lo[keep]
 
 
 def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
@@ -530,28 +521,17 @@ def _nonneg_lasso_path(M: np.ndarray, b: np.ndarray):
         s -= step
 
 
-def _path_solution(M: np.ndarray, b: np.ndarray, s: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Support and coefficients of min 0.5||Ma - b||^2 + s 1'a over a >= 0,
-    for s > 0, read off the segment of the l1 path that contains s."""
-    for segment in _nonneg_lasso_path(M, b):
-        if s >= segment.hi:
-            break  # s is at or above the first breakpoint: a = 0
-        if s >= segment.lo:
-            return segment.at(s)
-    return np.zeros(0, dtype=np.intp), np.zeros(0)
-
-
 @dataclass(frozen=True)
 class BisectResult:
     """Outcome of the support-size selection on the l1 path.
 
-    ``grid`` is the accepted rule, with at most ``D`` points, and
-    ``lam`` the penalty that selected its support.  ``lam_below``/``nnz_below``
-    certify the crossing: a lower penalty and its support size, larger than
-    the target, or None when the unpenalized fit was already small enough.
-    ``steps`` counts the path events (entries plus exits) walked to reach
-    the crossing, 0 without one.
+    ``grid`` is the accepted rule, with at most ``D`` points.  The other
+    fields are diagnostics of the bracket: ``lam`` is the breakpoint that
+    selected its support, and ``lam_below``/``nnz_below`` a lower penalty
+    on the path and its support size, larger than the target, or None when
+    the unpenalized fit was already small enough.  ``steps`` counts the
+    path events (entries plus exits) walked to reach the crossing, 0
+    without one.
     """
 
     lam: float
@@ -564,7 +544,7 @@ class BisectResult:
 def bisect_lambda(candidates: GridQuadrature,
                   pairs: tuple[np.ndarray, np.ndarray], kernel: GaussianKernel,
                   D: int) -> BisectResult:
-    """Choose the l1 penalty at which ``D`` points survive.
+    """Select the reweighted rule with at most ``D`` points.
 
     Walks the exact path of the penalized fit (1/n)||Ma - b||^2 + lam 1'a,
     a >= 0, from the penalty at which the first candidate enters down
@@ -576,17 +556,15 @@ def bisect_lambda(candidates: GridQuadrature,
     ``D`` points, and ``lam`` is the breakpoint.  Lower penalties
     at which the support returns to ``D`` points are not visited.
     ``lam_below`` is the midpoint of the next segment of the path and
-    ``nnz_below`` its support size, ``D + 1``, which ``reweight``
-    at ``lam_below`` reproduces.  When the path reaches lam = 0 without
-    passing ``D``, its end, the unpenalized fit, is returned with
-    lam = 0.
+    ``nnz_below`` its support size, ``D + 1``.  Only the breakpoints are
+    read.  When the path reaches lam = 0 without passing ``D``, its end,
+    the unpenalized fit, is returned with lam = 0.
 
     ``pairs`` and ``kernel`` are as in ``reweight``, and twins w, -w in
     the candidates are folded as there.
-    The penalty only selects the support: the weights are refit at lam = 0
-    on the surviving points, so hitting a small target does not cost
-    systematic shrinkage of the weight sum; ``reweight`` at ``lam`` gives
-    the penalized solution.
+    The penalty only selects the support: the weights are refit without
+    penalty on the surviving points, so hitting a small target does not
+    cost systematic shrinkage of the weight sum.
     """
     if D < 1:
         raise ValueError("D must be positive")
@@ -598,13 +576,13 @@ def bisect_lambda(candidates: GridQuadrature,
             break
         chosen = segment
     else:
-        keep, a = chosen.at(0.0) if chosen else (np.zeros(0, dtype=np.intp),
-                                                 np.zeros(0))
+        keep, a = chosen.low_end() if chosen else (np.zeros(0, dtype=np.intp),
+                                                   np.zeros(0))
         return BisectResult(0.0, _fitted_grid(candidates, pool, system, targets,
                                               keep, a, "lam=0.0"), None, None)
 
     lam = float(2.0 * chosen.lo / n)
-    support, _ = chosen.at(chosen.lo)
+    support, _ = chosen.low_end()
     keep, a = _unpenalized_fit(system[:, support], targets,
                                start=np.arange(support.size))
     grid = _fitted_grid(candidates, pool, system, targets, support[keep], a,

@@ -211,7 +211,7 @@ def _nonnegative_maps():
     pool = subsample_dense_grid(4, 2, 80, seed=11)
     X = rng.standard_normal((120, 2))
     Y = rng.standard_normal((120, 2))
-    reweighted = reweight(pool, (X, Y), GaussianKernel(0.5), 0.0)
+    reweighted = reweight(pool, (X, Y), GaussianKernel(0.5))
     return [
         ("rff", rff(3, 500, 0.5, seed=11)),
         ("qmc", qmc_halton(3, 500, 0.5)),

@@ -203,18 +203,6 @@ class TestWriteCsv:
         assert _written_bytes(Z) == _savetxt_bytes(Z)
 
 
-def test_embed_with_no_cosine_terms_writes_empty_rows(tmp_path, capsys):
-    # a large enough penalty leaves a reweighted map no terms
-    data = tmp_path / "six.csv"
-    np.savetxt(data, np.random.default_rng(3).standard_normal((6, 3)), delimiter=",")
-    out = tmp_path / "none.csv"
-    assert main(["embed", "--method", "reweighted", "--lambda", "1e9", "--D", "8",
-                 "--L", "4", "--pairs", "20", "--data", str(data),
-                 "--out", str(out)]) == 0
-    assert "6 rows x 0 features" in capsys.readouterr().out
-    assert out.read_bytes() == _savetxt_bytes(np.empty((6, 0)))
-
-
 def test_embed_subsampled_merges_duplicates(tmp_path, data_csv):
     out = tmp_path / "features_sub.csv"
     assert main(["embed", "--method", "subsampled", "--D", "20", "--L", "4",
@@ -264,19 +252,12 @@ def test_reweighted_via_cli(tmp_path, data_csv):
     assert lines[1].startswith("reweighted,4,")
 
 
-def test_lambda_reaches_anova_reweighting(tmp_path, data_csv, capsys):
-    kernel = random_anova(d=4, m=2, subset_size=2, gamma=0.5, seed=4)
-    spec_path = tmp_path / "anova.json"
-    save_anova(kernel, str(spec_path))
-    args = ["eval", "--method", "reweighted", "--anova", str(spec_path),
-            "--data", data_csv, "--D", "12", "--pairs", "60", "--L", "4",
-            "--n-eval", "500", "--seed", "0"]
-    rows = []
-    for extra in ([], ["--lambda", "0.05"]):
-        assert main(args + extra) == 0
-        out = capsys.readouterr().out
-        rows.append(strip_timing_columns(out).splitlines()[1])
-    assert rows[0] != rows[1]
+def test_no_penalty_flag(data_csv):
+    # a reweighted rule is selected by --D alone
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--method", "reweighted", "--d", "4", "--D", "30",
+              "--data", data_csv, "--lambda", "0.1"])
+    assert exc.value.code == 2
 
 
 def _no_builds(*args, **kwargs):
@@ -290,12 +271,12 @@ def _no_builds(*args, **kwargs):
     (["--gamma", "inf"], "gamma"), (["--gamma", "nan"], "gamma"),
     (["--n-eval", "0"], "n_eval"), (["--d", "0"], "d"), (["--d", "2.5"], "d"),
     (["--seed", "0,a"], "seeds"), (["--method", "rff,nystrom"], "methods"),
-    (["--lambda", "inf"], "lam"), (["--pairs", "0"], "pairs"),
+    (["--method", "reweighted", "--d", "5"], "d"), (["--pairs", "0"], "pairs"),
     (["--method", "dense", "--L", "0"], "L"), (["--method", "dense", "--L", "300"], "L"),
     (["--method", "sparse", "--level", "-1"], "level"),
     (["--method", "sparse", "--level", "9"], "level"),
     (["--method", "poly-exact", "--degree", "3"], "degree"), (["--seed", "-1"], "seeds"),
-    (["--d", "5"], "d"), (["--method", "reweighted", "--d", "5"], "d"),
+    (["--d", "5"], "d"),
 ])
 @pytest.mark.parametrize("command", ["build", "eval", "sweep", "embed"])
 def test_every_command_names_the_bad_key(command, flags, key, data_csv,

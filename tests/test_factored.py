@@ -92,7 +92,7 @@ class TestStructureRecord:
         train = sample_pairs(ds, 60, seed=0)
         kernel = GaussianKernel(0.5)
         pool = dense_grid(6, 2)
-        assert reweight(pool, train, kernel, 1e-3).structure is None
+        assert reweight(pool, train, kernel).structure is None
         assert bisect_lambda(pool, train, kernel, 8).grid.structure is None
 
 

@@ -265,11 +265,11 @@ def _ulps_from(x: float, ulps: int) -> float:
 
 def _reweighted_map() -> FeatureMap:
     from quadfeat.grids import subsample_dense_grid
-    from quadfeat.solvers import reweight
+    from quadfeat.solvers import bisect_lambda
     rng = np.random.default_rng(22)
-    g = reweight(subsample_dense_grid(4, 3, 40, seed=22),
-                 (rng.standard_normal((60, 3)), rng.standard_normal((60, 3))),
-                 GaussianKernel(0.5), 0.02)
+    g = bisect_lambda(subsample_dense_grid(4, 3, 40, seed=22),
+                      (rng.standard_normal((60, 3)), rng.standard_normal((60, 3))),
+                      GaussianKernel(0.5), 10).grid
     return FeatureMap(g, "reweighted", 0.5)
 
 
@@ -720,12 +720,12 @@ def test_empty_map_file_needs_only_its_dimension():
 
 def test_unnormalized_reweighted_map_round_trips():
     from quadfeat.grids import subsample_dense_grid
-    from quadfeat.solvers import reweight
+    from quadfeat.solvers import bisect_lambda
     rng = np.random.default_rng(21)
     pool = subsample_dense_grid(4, 2, 50, seed=21)
-    g = reweight(pool, (rng.standard_normal((60, 2)),
-                        rng.standard_normal((60, 2))),
-                 GaussianKernel(0.5), 0.02)
+    g = bisect_lambda(pool, (rng.standard_normal((60, 2)),
+                             rng.standard_normal((60, 2))),
+                      GaussianKernel(0.5), 6).grid
     assert abs(g.weights.sum() - 1.0) > 1e-10  # genuinely unnormalized
     fm = FeatureMap(g, "reweighted", 0.5)
     back = feature_map_from_json(feature_map_to_json(fm))

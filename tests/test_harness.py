@@ -146,6 +146,15 @@ class TestErrorMeasures:
         expected = abs(kernel.value((x - y)[0]) - fm.approx((x - y)[0]))
         assert rms_error(fm, kernel, (x, y)) == pytest.approx(expected)
 
+    def test_rms_pairs_parsed_as_in_reweighting(self):
+        fm = rff(3, 10, 0.5, seed=6)
+        kernel = GaussianKernel(0.5)
+        X = np.random.default_rng(6).standard_normal((4, 3))
+        with pytest.raises(ValueError, match="pairs must be .* got 3"):
+            rms_error(fm, kernel, (X, X, X))
+        with pytest.raises(ValueError, match="got shapes"):
+            rms_error(fm, kernel, (X, X[:, :2]))
+
     def test_rms_bounded_by_max_on_same_samples(self):
         fm = rff(4, 32, 0.5, seed=7)
         kernel = GaussianKernel(0.5)
@@ -208,8 +217,9 @@ class TestSweep:
         # not a key: D is the support-size target
         ("target_D", 3.5), ("D", ["8"]),
         ("gamma", math.nan), ("gamma", math.inf), ("M", [math.nan]),
-        ("M", [1.0, math.inf]), ("lam", -0.1), ("lam", math.nan),
-        ("lam", math.inf), ("gamma", "x"), ("M", ["y"]), ("lam", "abc"),
+        ("M", [1.0, math.inf]),
+        # not a key: reweighted rules are selected by D alone
+        ("lam", 0.05), ("gamma", "x"), ("M", ["y"]),
         ("L", 0), ("L", 201), ("level", -1), ("level", 8), ("degree", -2),
         ("degree", 3), ("seeds", [0, -1]),
         # a scalar or a string where a list belongs, a bool for a number

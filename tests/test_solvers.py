@@ -384,21 +384,6 @@ def synthetic_reweight_problem(seed=0, n=60, d=2, pool=40):
 
 
 class TestReweight:
-    def test_large_penalty_empties_the_grid(self):
-        candidates, pairs, kernel = synthetic_reweight_problem()
-        U = pairs[0] - pairs[1]
-        system = np.cos(U @ (candidates.points * 1.0).T)
-        b = kernel.value(U)
-        lam = 2.0 * np.linalg.norm(system.T @ b) / U.shape[0]
-        g = reweight(candidates, pairs, kernel, lam)
-        assert g.count == 0
-
-    @pytest.mark.parametrize("lam", [-0.1, math.nan])
-    def test_negative_or_nan_penalty_rejected(self, lam):
-        candidates, pairs, kernel = synthetic_reweight_problem()
-        with pytest.raises(ValueError, match="non-negative"):
-            reweight(candidates, pairs, kernel, lam)
-
     def test_planted_single_atom_recovered(self):
         rng = np.random.default_rng(5)
         d = 2
@@ -413,7 +398,7 @@ class TestReweight:
             def value(self, u):
                 return 0.7 * np.cos(u @ omega)
 
-        g = reweight(candidates, (X, Y), PlantedAtom(0.5), 0.0)
+        g = reweight(candidates, (X, Y), PlantedAtom(0.5))
         fitted = np.cos((X - Y) @ (g.points * 1.0).T) @ g.weights
         truth = 0.7 * np.cos((X - Y) @ omega)
         np.testing.assert_allclose(fitted, truth, atol=1e-8)
@@ -430,13 +415,13 @@ class TestReweight:
         U = X - Y
         freqs = candidates.points  # gamma = 1/2 leaves nodes unscaled
         orig_mse = np.mean((kernel.value(U) - np.cos(U @ freqs.T) @ candidates.weights) ** 2)
-        g = reweight(candidates, (X, Y), kernel, 0.0)
+        g = reweight(candidates, (X, Y), kernel)
         fit_mse = np.mean((kernel.value(U) - np.cos(U @ (g.points * 1.0).T) @ g.weights) ** 2)
         assert fit_mse <= orig_mse + 1e-12
 
     def test_weight_sum_not_renormalized(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=11)
-        g = reweight(candidates, pairs, kernel, 0.01)
+        g = bisect_lambda(candidates, pairs, kernel, 6).grid
         assert not g.normalized
         assert "sum_a=" in g.provenance
 
@@ -444,8 +429,8 @@ class TestReweight:
         # with two rows, [X, Y] could also be read as two (x, y) pairs;
         # it must be read as (X, Y)
         candidates, (X, Y), kernel = synthetic_reweight_problem(seed=41, n=2)
-        as_tuple = reweight(candidates, (X, Y), kernel, 0.0)
-        as_list = reweight(candidates, [X, Y], kernel, 0.0)
+        as_tuple = reweight(candidates, (X, Y), kernel)
+        as_list = reweight(candidates, [X, Y], kernel)
         np.testing.assert_array_equal(as_tuple.points, as_list.points)
         np.testing.assert_array_equal(as_tuple.weights, as_list.weights)
         assert as_tuple.provenance == as_list.provenance
@@ -458,11 +443,11 @@ class TestReweight:
         candidates, pairs, _ = synthetic_reweight_problem()
         name = type(kernel).__name__
         with pytest.raises(TypeError, match=name):
-            reweight(candidates, pairs, kernel, 0.0)
+            reweight(candidates, pairs, kernel)
         with pytest.raises(TypeError, match=name):
             bisect_lambda(candidates, pairs, kernel, 3)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.01, None])
+    @pytest.mark.parametrize("lam", [0.0, None])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_refused_by_row(self, lam, bad):
         candidates, (X, Y), kernel = synthetic_reweight_problem(seed=43)
@@ -472,37 +457,45 @@ class TestReweight:
             if lam is None:
                 bisect_lambda(candidates, (X, Y), kernel, 3)
             else:
-                reweight(candidates, (X, Y), kernel, lam)
+                reweight(candidates, (X, Y), kernel)
+
+    def test_pairs_of_three_arrays_refused(self):
+        candidates, (X, Y), kernel = synthetic_reweight_problem(seed=44)
+        with pytest.raises(ValueError, match="pairs must be .* got 3"):
+            reweight(candidates, (X, Y, X), kernel)
+        with pytest.raises(ValueError, match="pairs must be .* got 3"):
+            bisect_lambda(candidates, [X, Y, Y], kernel, 3)
 
     def test_matches_projected_gradient_reference(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=13, n=40,
                                                                pool=15)
-        lam = 0.05
-        g = reweight(candidates, pairs, kernel, lam)
-        U = pairs[0] - pairs[1]
-        system = np.cos(U @ (candidates.points * 1.0).T)
-        b = kernel.value(U)
-        n = U.shape[0]
+        _, system, b = solvers._reweight_system(candidates, pairs, kernel)
+        n, p = system.shape
+        segments = list(solvers._nonneg_lasso_path(system, b))
+        seg = segments[len(segments) // 2]
+        assert 0.0 < seg.lo < segments[0].hi  # an interior breakpoint
+        lam = 2.0 * seg.lo / n
+        keep, coef = seg.low_end()
+        ours = np.zeros(p)
+        ours[keep] = coef
 
         def objective(a):
             r = system @ a - b
             return float(r @ r) / n + lam * a.sum()
 
         # projected gradient reference
-        a = np.zeros(candidates.count)
+        a = np.zeros(p)
         step = n / (2.0 * np.linalg.norm(system, 2) ** 2)
         for _ in range(20_000):
             grad = 2.0 / n * system.T @ (system @ a - b) + lam
             a = np.maximum(0.0, a - step * grad)
-        ours = np.zeros(candidates.count)
-        for point, w in zip(g.points, g.weights):
-            idx = np.flatnonzero((candidates.points == point).all(axis=1))[0]
-            ours[idx] = w
         assert objective(ours) <= objective(a) + 1e-6
 
     def test_penalized_fit_matches_exhaustive_oracle(self):
+        """The solution read at every breakpoint s of the path reaches the
+        brute-force optimum of 0.5||Ma - b||^2 + s 1'a."""
         rng = np.random.default_rng(59)
-        wider = 0
+        wider = breakpoints = 0
         for trial in range(40):
             n = int(rng.integers(2, 7))
             candidates = subsample_dense_grid(4, 2, int(rng.integers(3, 12)),
@@ -511,15 +504,16 @@ class TestReweight:
             kernel = GaussianKernel(0.5)
             pool, M, b = solvers._reweight_system(candidates, pairs, kernel)
             wider += M.shape[1] > n
-            shift = float(rng.uniform(0.05, 1.0)) * max(float((M.T @ b).max()), 1e-3)
-            lam = 2.0 * shift / n
-            g = reweight(candidates, pairs, kernel, lam)
-            fitted = np.cos((pairs[0] - pairs[1]) @ g.points.T)
-            ours = penalized_objective(fitted, b, shift, g.weights)
-            ref = brute_force_penalized_objective(M, b, shift)
-            assert ours == pytest.approx(ref, rel=1e-9, abs=1e-12)
+            rng.random()  # drawn but unused, which fixes the later trials' systems
+            for seg in solvers._nonneg_lasso_path(M, b):
+                keep, a = seg.low_end()
+                assert (a > 0.0).all()
+                ours = penalized_objective(M[:, keep], b, seg.lo, a)
+                ref = brute_force_penalized_objective(M, b, seg.lo)
+                assert ours == pytest.approx(ref, rel=1e-9, abs=1e-12)
+                breakpoints += 1
         assert wider >= 10
-
+        assert breakpoints >= 80
 
     def test_folded_pool_keeps_the_first_of_each_twin(self):
         candidates = subsample_dense_grid(8, 3, 400, seed=0)
@@ -535,17 +529,16 @@ class TestReweight:
         again, _ = fold_twins(pool, np.ones(len(pool)))
         np.testing.assert_array_equal(again, np.arange(len(pool)))
 
-    @pytest.mark.parametrize("lam", [0.0, 1e-3])
-    def test_folding_keeps_the_estimate(self, monkeypatch, lam):
+    def test_folding_keeps_the_estimate(self, monkeypatch):
         candidates = subsample_dense_grid(8, 3, 400, seed=0)
         rng = np.random.default_rng(53)
         pairs = (rng.standard_normal((300, 3)), rng.standard_normal((300, 3)))
         kernel = GaussianKernel(0.5)
-        folded = reweight(candidates, pairs, kernel, lam)
+        folded = reweight(candidates, pairs, kernel)
         with monkeypatch.context() as m:
             m.setattr(solvers, "fold_twins",
                       lambda points, weights: (np.arange(len(points)), weights))
-            unfolded = reweight(candidates, pairs, kernel, lam)
+            unfolded = reweight(candidates, pairs, kernel)
         U = 1.5 * rng.standard_normal((2000, 3))
 
         def estimate(g):
@@ -571,7 +564,7 @@ class TestBisectLambda:
     def test_bracket_certificate(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=23, n=100,
                                                                pool=60)
-        base = reweight(candidates, pairs, kernel, 0.0)
+        base = reweight(candidates, pairs, kernel)
         target = max(2, base.count // 3)
         assert base.count > target
         res = bisect_lambda(candidates, pairs, kernel, target)
@@ -579,8 +572,8 @@ class TestBisectLambda:
         assert res.nnz_below > target
         assert res.lam_below < res.lam
         # the rejected neighbor really does overshoot the target
-        neighbor = reweight(candidates, pairs, kernel, res.lam_below)
-        assert neighbor.count > target
+        _, below, _, _ = walked_bracket(candidates, pairs, kernel, res)
+        assert below.support.size > target
 
     def test_results_are_plain_floats(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=23, n=100,
@@ -592,17 +585,17 @@ class TestBisectLambda:
     def test_refit_removes_penalty_shrinkage(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=29, n=100,
                                                                pool=60)
-        base = reweight(candidates, pairs, kernel, 0.0)
+        base = reweight(candidates, pairs, kernel)
         target = max(2, base.count // 3)
         refit = bisect_lambda(candidates, pairs, kernel, target)
-        raw = reweight(candidates, pairs, kernel, refit.lam)
+        chosen, _, M, b = walked_bracket(candidates, pairs, kernel, refit)
+        keep, raw = chosen.low_end()  # the penalized solution at refit.lam
         U = pairs[0] - pairs[1]
-        b = kernel.value(U)
 
         def mse(g):
             return np.mean((b - np.cos(U @ (g.points * 1.0).T) @ g.weights) ** 2)
 
-        assert mse(refit.grid) <= mse(raw) + 1e-12
+        assert mse(refit.grid) <= np.mean((b - M[:, keep] @ raw) ** 2) + 1e-12
 
     def test_steps_count_path_events(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=3, n=200,
@@ -612,6 +605,21 @@ class TestBisectLambda:
         assert 0 < res.steps <= 3 * p
         loose = bisect_lambda(candidates, pairs, kernel, 1000)
         assert loose.steps == 0
+
+
+def walked_bracket(candidates, pairs, kernel, res):
+    """The segments of a fresh walk of the l1 path that bracket the
+    selection ``res``: the one it was read from, whose lower end is at
+    ``res.lam``, and the next, whose midpoint is at ``res.lam_below``; and
+    the system M, b."""
+    _, M, b = solvers._reweight_system(candidates, pairs, kernel)
+    segments = list(solvers._nonneg_lasso_path(M, b))
+    i = next(i for i, seg in enumerate(segments) if seg.events == res.steps)
+    chosen, below = segments[i - 1], segments[i]
+    n = M.shape[0]
+    assert float(2.0 * chosen.lo / n) == res.lam
+    assert float((below.hi + below.lo) / n) == res.lam_below
+    return chosen, below, M, b
 
 
 def recorded_bisection(monkeypatch, candidates, pairs, kernel, target,
@@ -641,7 +649,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("case", CASES)
     def test_bisection_matches_an_all_cold_run(self, monkeypatch, case):
         candidates, pairs, kernel = synthetic_reweight_problem(**case)
-        target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
+        target = max(2, reweight(candidates, pairs, kernel).count // 3)
         warm, _ = recorded_bisection(monkeypatch, candidates, pairs, kernel,
                                      target)
         cold, _ = recorded_bisection(monkeypatch, candidates, pairs, kernel,
@@ -688,13 +696,13 @@ def path_problem(case):
     if isinstance(case, int):
         return anova_subset_problem(case)
     candidates, pairs, kernel = synthetic_reweight_problem(**case)
-    target = max(2, reweight(candidates, pairs, kernel, 0.0).count // 3)
+    target = max(2, reweight(candidates, pairs, kernel).count // 3)
     return candidates, pairs, kernel, target
 
 
 class TestPath:
     """The nonnegative-lasso path against KKT certificates, and the
-    selection against fresh fits at its penalties."""
+    selection against a fresh walk of the path."""
 
     CASES = TestWarmStart.CASES + list(range(10))
     IDS = [f"synthetic-{c['seed']}" for c in TestWarmStart.CASES] + [
@@ -723,37 +731,14 @@ class TestPath:
             assert -grad[a == 0].min(initial=0.0) <= 1e-10 * scale
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_support_next_to_each_breakpoint(self, case):
-        """A penalty a few ulps from a breakpoint has the support of the
-        breakpoint itself, read from the segment above, and every penalty
-        near one has positive weights."""
-        candidates, pairs, kernel, _ = path_problem(case)
-        pool, M, b = solvers._reweight_system(candidates, pairs, kernel)
-        eps = np.finfo(float).eps
-        above = np.zeros(0, dtype=np.intp)
-        for seg in solvers._nonneg_lasso_path(M, b):
-            at_lo, a = seg.at(seg.lo)
-            assert (a > 0.0).all()
-            for k in (1, 2, 3, 4, 9, 16, 64):
-                for s, breakpoint in ((seg.hi * (1.0 - k * eps), above),
-                                      (seg.lo * (1.0 + k * eps), at_lo)):
-                    if not seg.lo <= s <= seg.hi:
-                        continue
-                    support, a = seg.at(s)
-                    assert (a > 0.0).all()
-                    if k <= 4:
-                        assert sorted(support) == sorted(breakpoint)
-            above = at_lo
-
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_selection_is_certified_by_cold_solves(self, case):
         candidates, pairs, kernel, target = path_problem(case)
         res = bisect_lambda(candidates, pairs, kernel, target)
         assert res.grid.count <= target
-        assert reweight(candidates, pairs, kernel, res.lam).count == target
+        chosen, below, _, _ = walked_bracket(candidates, pairs, kernel, res)
+        assert chosen.low_end()[0].size == target
         assert res.nnz_below == target + 1
-        below = reweight(candidates, pairs, kernel, res.lam_below)
-        assert below.count == res.nnz_below
+        assert below.support.size == res.nnz_below
 
 
 class TestKktOnHardSystems:
@@ -768,15 +753,17 @@ class TestKktOnHardSystems:
             n, p = int(rng.integers(2, 5)), int(rng.integers(3, 9))
             M = rng.standard_normal((n, p))
             b = 3.0 * rng.standard_normal(n)
-            shift = float(rng.uniform(0.0, 0.5)) * np.abs(M.T @ b).max()
-            a = np.zeros(p)
-            keep, coef = solvers._path_solution(M, b, shift)
-            a[keep] = coef
-            grad = M.T @ (M @ a - b) + shift
-            scale = np.linalg.norm(M.T @ b - shift)
-            on = np.abs(grad[a > 0]).max(initial=0.0)
-            off = max(0.0, -grad[a == 0].min(initial=0.0))
-            worst = max(worst, on / scale, off / scale)
+            rng.random()  # drawn but unused, which fixes the later draws' systems
+            for seg in solvers._nonneg_lasso_path(M, b):
+                a = np.zeros(p)
+                keep, coef = seg.low_end()
+                assert (coef > 0.0).all()
+                a[keep] = coef
+                grad = M.T @ (M @ a - b) + seg.lo
+                scale = np.linalg.norm(M.T @ b - seg.lo)
+                on = np.abs(grad[a > 0]).max(initial=0.0)
+                off = max(0.0, -grad[a == 0].min(initial=0.0))
+                worst = max(worst, on / scale, off / scale)
         assert worst <= 1e-8
 
     def test_poly_exact_system(self):
