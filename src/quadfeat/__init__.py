@@ -35,8 +35,9 @@ from .harness import (
     Dataset,
     ErrorReport,
     SweepConfig,
+    error_curve,
+    error_stats,
     load_csv,
-    max_error_empirical,
     rms_error,
     sample_pairs,
     sweep,

@@ -15,7 +15,16 @@ of displacements through one reused phase buffer.  Both paths take their
 cosines from half the phase, cos x = 2 / (1 + tan^2(x/2)) - 1
 (``grids._cos_from_half``), because numpy's float64 tangent is vectorized
 where its cosine is not; the estimate then differs from the np.cos sum by
-a few eps times sum_i |a_i|.  The explicit real embedding
+a few eps times sum_i |a_i|.  The generic path also estimates at several
+scales s U of one displacement array in the same pass
+(``_scaled_estimates``, which ``error_curve`` uses for a sweep's
+diameters): where a scale is exactly 2^k times the one before it, the
+block's cosines are doubled in place, cos 2x = 2 cos^2 x - 1, instead of
+taken from a new tangent, at most ``MAX_DOUBLINGS`` times from one
+tangent.  Each doubling can multiply the cosines' absolute error by 4, so
+such an estimate stays within 5 4^k eps sum_i |a_i| of the one-scale
+estimate; every other scale's estimate is bitwise the one-scale one.
+The explicit real embedding
 
     z(x) = [sqrt(a_i) cos(w_i'x)]_i ++ [sqrt(a_i) sin(w_i'x)]_i
 
@@ -101,6 +110,34 @@ BLOCK = 2**15
 def _block_rows(count: int) -> int:
     """Rows of ``count`` points each that one block of ``BLOCK`` entries holds."""
     return max(1, BLOCK // max(1, count))
+
+
+# doublings c <- 2 c^2 - 1 that one tangent's cosines may take: each can
+# multiply their absolute error by up to 4
+MAX_DOUBLINGS = 3
+
+
+def _doublings(scales) -> list[int]:
+    """For each of the ascending ``scales``, the k >= 1 in-place doublings
+    that take the cosines at the scale before it to its own, or 0 where it
+    needs a new tangent: k is taken when the scale is exactly 2^k times the
+    one before (multiplying by 2^k is exact in floating point) and its chain
+    has taken at most ``MAX_DOUBLINGS`` doublings since its tangent."""
+    steps, used = [], MAX_DOUBLINGS
+    for prev, s in zip([math.nan, *scales], scales):
+        k = next((k for k in range(1, MAX_DOUBLINGS - used + 1)
+                  if prev * 2.0**k == s), 0)
+        used = used + k if k else 0
+        steps.append(k)
+    return steps
+
+
+def _double_cos(c: np.ndarray) -> np.ndarray:
+    """cos 2x = 2 cos^2 x - 1 of the cosines c, written over c and returned."""
+    np.square(c, out=c)
+    c *= 2.0
+    c -= 1.0
+    return c
 
 
 class _MapShell:
@@ -230,17 +267,40 @@ class FeatureMap(_MapShell):
         if self.grid.structure is not None:
             return structured_cos_sum(self.grid.structure,
                                       U * math.sqrt(2.0 * self.gamma))
-        # the buffer takes a block's half-phases and then their doubled-angle
-        # cosines, from numpy's vectorized tangent
+        return self._scaled_estimates(U, (1.0,))[0]
+
+    def _scaled_estimates(self, U: np.ndarray, scales) -> np.ndarray:
+        """k~ at s U for each of the ascending, distinct ``scales``, one row
+        each, summed over the cosine terms whatever the grid's structure.
+
+        One pass over U in blocks of ``_block_rows(count)`` rows, through one
+        buffer: in each block the scales are taken in order.  A scale that
+        ``_doublings`` chains to the one before it takes that one's cosines
+        by k in-place doublings c <- 2 c^2 - 1 (``_double_cos``); any other
+        scale takes the block's half-phases (s U[block]) @ (w / 2) and their
+        cosines from the tangent, which are bitwise those of a one-scale
+        call on s U.  Only a doubled row differs from that, by at most
+        5 4^k eps sum_i |a_i|.
+        """
         n = U.shape[0]
         rows = max(1, min(n, _block_rows(self.count)))
         P = np.empty((rows, self.count))
-        out = np.empty(n)
+        # the block's rows times s, for each tangent scale but 1
+        X = np.empty((rows, self.d)) if any(s != 1.0 for s in scales) else None
+        out = np.empty((len(scales), n))
+        steps = _doublings(scales)
         for start in range(0, n, rows):
-            half = P[:min(rows, n - start)]
-            np.matmul(U[start:start + rows], self._half_frequencies, out=half)
-            _cos_from_half(half)
-            np.matmul(half, self.weights, out=out[start:start + rows])
+            block = slice(start, start + rows)
+            x = U[block]
+            half = P[:x.shape[0]]
+            for s, k, estimate in zip(scales, steps, out):
+                for _ in range(k):
+                    _double_cos(half)
+                if not k:
+                    xs = x if s == 1.0 else np.multiply(x, s, out=X[:x.shape[0]])
+                    np.matmul(xs, self._half_frequencies, out=half)
+                    _cos_from_half(half)
+                np.matmul(half, self.weights, out=estimate[block])
         return out
 
     def embed_batch(self, X: np.ndarray, *,

@@ -2,9 +2,11 @@
 
 Displacements for the max-error estimate are drawn with direction uniform
 on the sphere and radius uniform on [0, M]; the same (direction, fraction)
-draws are reused across diameters for a fixed seed, so sample sets are
-nested scalings and the estimate is reproducible per seed.  The desk-scale
-default is 1e5 samples (the full-scale 1e6 is one flag away).
+draws are reused across diameters for a fixed seed, so the set at M is
+bitwise M times the set at M = 1 and the estimate is reproducible per seed.
+``error_curve`` measures one map at many diameters from one such draw, and
+a sweep calls it once per map and seed.  The desk-scale default is 1e5
+samples (the full-scale 1e6 is one flag away).
 """
 from __future__ import annotations
 
@@ -43,7 +45,9 @@ class ErrorReport:
     a sweep row that reuses a map built for an earlier row reports 0.
     ``embed_ms`` is the time spent evaluating the error (sampling the
     displacements and computing the exact and approximate kernels), under
-    the name the fixed report header gives it.
+    the name the fixed report header gives it.  A sweep evaluates all the
+    diameters of one map and seed together, so the first of their rows in
+    config order carries that time and the others report 0.
     """
 
     method: str
@@ -141,30 +145,71 @@ def sample_pairs(ds: Dataset, n: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return ds.rows[i], ds.rows[j]
 
 
-def displacement_sample(d: int, M: float, n: int, seed: int) -> np.ndarray:
-    """n vectors with |u| <= M: uniform direction, radius fraction uniform."""
+def _check_sample(M: float, n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= M < math.inf:
         raise ValueError(f"M must be non-negative and finite, got {M!r}")
+
+
+def _unit_sample(d: int, n: int, seed: int) -> np.ndarray:
+    """The sample at M = 1, built in place: n rows of uniform direction and
+    uniform radius fraction.  Times M it is bitwise the sample at M."""
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n, d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    unit = rng.standard_normal((n, d))
+    norms = np.linalg.norm(unit, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    fractions = rng.uniform(size=(n, 1))
-    return dirs / norms * fractions * M
+    unit /= norms
+    unit *= rng.uniform(size=(n, 1))
+    return unit
+
+
+def displacement_sample(d: int, M: float, n: int, seed: int) -> np.ndarray:
+    """n vectors with |u| <= M: uniform direction, radius fraction uniform."""
+    _check_sample(M, n)
+    U = _unit_sample(d, n, seed)
+    U *= M
+    return U
+
+
+def error_curve(fm, kernel, Ms: Sequence[float], n: int,
+                seed: int) -> list[tuple[float, float]]:
+    """(max, rms) of |k - k~| at each diameter of ``Ms``, in order, over the
+    n displacements of ``displacement_sample`` at that diameter.
+
+    The sample at M = 1 is drawn once and each distinct diameter is
+    evaluated once.  A plain map without a structure record takes its
+    estimates for every diameter in one blocked pass
+    (``FeatureMap._scaled_estimates``): a diameter exactly 2^k times the one
+    before it (k <= 3 since the last tangent) doubles that one's cosines in
+    place, and moves from the one-diameter value by at most
+    5 4^k eps sum_i |a_i|; every other diameter is bitwise
+    ``error_stats``.  Dense, Smolyak and ANOVA maps evaluate each diameter
+    through ``approx``, bitwise as ``error_stats``.  The exact kernel takes
+    one scaled copy of the sample at a time, and the last diameter scales
+    the sample itself.
+    """
+    for M in Ms:
+        _check_sample(M, n)
+    Ms = [float(M) for M in Ms]
+    unit = _unit_sample(fm.d, n, seed)
+    scales = sorted(set(Ms))
+    doubles = isinstance(fm, FeatureMap) and fm.grid.structure is None
+    estimates = fm._scaled_estimates(unit, scales) if doubles else None
+    scaled = np.empty_like(unit) if len(scales) > 1 else None
+    stats = {}
+    for i, M in enumerate(scales):
+        U = np.multiply(unit, M, out=unit if i == len(scales) - 1 else scaled)
+        diff = kernel.value(U) - (estimates[i] if doubles else fm.approx(U))
+        stats[M] = float(np.abs(diff).max()), float(np.sqrt(np.mean(diff**2)))
+    return [stats[M] for M in Ms]
 
 
 def error_stats(fm, kernel, M: float, n: int, seed: int) -> tuple[float, float]:
-    """(max, rms) of |k - k~| over one displacement sample set."""
-    U = displacement_sample(fm.d, M, n, seed)
-    diff = kernel.value(U) - fm.approx(U)
-    return float(np.abs(diff).max()), float(np.sqrt(np.mean(diff**2)))
-
-
-def max_error_empirical(fm, kernel, M: float, n: int, seed: int) -> float:
-    """Empirical sup of |k - k~| over n displacements in the M-ball."""
-    return error_stats(fm, kernel, M, n, seed)[0]
+    """(max, rms) of |k - k~| over the n displacements of
+    ``displacement_sample(fm.d, M, n, seed)``: ``error_curve`` at one
+    diameter, so every value is on the tangent path."""
+    return error_curve(fm, kernel, [M], n, seed)[0]
 
 
 def rms_error(fm, kernel, pairs) -> float:
@@ -399,29 +444,41 @@ def sweep(config: SweepConfig | dict) -> list[ErrorReport]:
     one maker of report rows, for ``quadfeat eval`` and ``quadfeat sweep``.
 
     Each map is built once, for the first cell that needs it, and only that
-    cell's row carries the build time.
+    cell's row carries the build time.  The cells of one map and seed are
+    evaluated together, by one ``error_curve`` over all their diameters, and
+    only the first of them in config order carries that evaluation's time.
     """
     if isinstance(config, dict):
         config = SweepConfig.from_dict(config)
     data = config_dataset(config)
     kernel = config.kernel()
+    cells = list(itertools.product(config.methods, config.D, config.M,
+                                   config.seeds))
+    diameters: dict[tuple, list[float]] = {}
+    for method, D, M, seed in cells:
+        diameters.setdefault((_build_key(method, D, seed), seed), []).append(M)
     reports = []
     built: dict[tuple, FeatureMap | AnovaFeatureMap] = {}
-    for method, D, M, seed in itertools.product(config.methods, config.D,
-                                                config.M, config.seeds):
+    curves: dict[tuple, dict[float, tuple[float, float]]] = {}
+    for method, D, M, seed in cells:
         key = _build_key(method, D, seed)
-        build_ms = 0
+        build_ms = embed_ms = 0
         if key not in built:
             t0 = time.perf_counter()
             built[key] = build_map(config, kernel, method, D, seed, data)
             build_ms = round_ms(t0)
         fm = built[key]
-        t1 = time.perf_counter()
-        max_err, rms = error_stats(fm, kernel, M, config.n_eval, seed)
+        if (key, seed) not in curves:
+            t1 = time.perf_counter()
+            Ms = diameters[key, seed]
+            curves[key, seed] = dict(zip(Ms, error_curve(fm, kernel, Ms,
+                                                         config.n_eval, seed)))
+            embed_ms = round_ms(t1)
+        max_err, rms = curves[key, seed][M]
         reports.append(ErrorReport(
             method=method, d=config.d, D=fm.count, gamma=config.gamma, M=M,
             max_err=max_err, rms_err=rms, n_eval=config.n_eval, seed=seed,
-            build_ms=build_ms, embed_ms=round_ms(t1)))
+            build_ms=build_ms, embed_ms=embed_ms))
     return reports
 
 

@@ -342,7 +342,10 @@ def _reweight_system(candidates: GridQuadrature,
                      kernel: GaussianKernel):
     """The twin-folded pool's points, M[l, i] = cos(w_i'(x_l - y_l)) and
     b_l = k(x_l - y_l).  A twin -w only repeats the column of w, so the
-    first of each pair, in candidate order, is kept."""
+    first of each pair, in candidate order, is kept.  Candidates with a
+    negative weight (a Smolyak grid) are refused."""
+    if not candidates.nonnegative:
+        raise ValueError("candidate grids must have non-negative weights")
     if not isinstance(kernel, GaussianKernel):
         raise TypeError("reweighting fits a GaussianKernel, got "
                         f"{type(kernel).__name__}")
@@ -389,12 +392,11 @@ def reweight(candidates: GridQuadrature, pairs: tuple[np.ndarray, np.ndarray],
     penalty.  Of each pair of twins w, -w in the candidates only the first
     is fitted, since both give the same column.  Zero-weight points are
     dropped, and the weight sum is left at its fitted value.  Another
-    kernel type raises TypeError; ``pairs`` that are not two arrays,
-    mismatched pairs, or a pair row with a NaN or infinite displacement
-    raise ValueError.  ``bisect_lambda`` bounds the support size.
+    kernel type raises TypeError; candidates with a negative weight,
+    ``pairs`` that are not two arrays, mismatched pairs, or a pair row with
+    a NaN or infinite displacement raise ValueError.  ``bisect_lambda``
+    bounds the support size.
     """
-    if not candidates.nonnegative:
-        raise ValueError("candidate grids must have non-negative weights")
     pool, system, targets = _reweight_system(candidates, pairs, kernel)
     keep, a = _unpenalized_fit(system, targets)
     return _fitted_grid(candidates, pool, system, targets, keep, a, "lam=0.0")

@@ -26,7 +26,7 @@ from quadfeat.grids import (
 )
 from quadfeat.harness import (
     build_anova_map,
-    max_error_empirical,
+    error_stats,
     reports_to_csv,
     rms_error,
     sample_pairs,
@@ -95,8 +95,8 @@ def test_04_poly_exact_beats_rff():
         residuals.append(exactness_residual(g, 2))
         pe = FeatureMap(g, "poly_exact", 0.5)
         rf = rff(25, 1000, 0.5, seed=seed)
-        e_pe = max_error_empirical(pe, kernel, 0.25, 100_000, seed=seed)
-        e_rf = max_error_empirical(rf, kernel, 0.25, 100_000, seed=seed)
+        e_pe = error_stats(pe, kernel, 0.25, 100_000, seed=seed)[0]
+        e_rf = error_stats(rf, kernel, 0.25, 100_000, seed=seed)[0]
         if e_rf >= 2.0 * e_pe:
             wins += 1
     ok = wins >= 4 and max(residuals) <= 1e-8
@@ -111,8 +111,8 @@ def test_05_sparse_grid_crossover():
     wins = {M: None for M in (0.1, 0.25, 0.4)}
     losses = {M: None for M in (1.6, 2.0)}
     for M in list(wins) + list(losses):
-        e_sg = max_error_empirical(sg, kernel, M, 100_000, seed=1)
-        e_rf = max_error_empirical(rf, kernel, M, 100_000, seed=1)
+        e_sg = error_stats(sg, kernel, M, 100_000, seed=1)[0]
+        e_rf = error_stats(rf, kernel, M, 100_000, seed=1)[0]
         if M in wins:
             wins[M] = e_sg < e_rf
         else:
@@ -129,8 +129,8 @@ def test_06_subsampled_grid_parity():
         ss = subsampled_feature_map(8, 25, D, 0.5, seed=3)
         rf = rff(25, D, 0.5, seed=3)
         for M in (0.5, 1.0, 2.0, 3.0):
-            e_ss = max_error_empirical(ss, kernel, M, 100_000, seed=4)
-            e_rf = max_error_empirical(rf, kernel, M, 100_000, seed=4)
+            e_ss = error_stats(ss, kernel, M, 100_000, seed=4)[0]
+            e_rf = error_stats(rf, kernel, M, 100_000, seed=4)[0]
             ratios.append(e_ss / e_rf)
     ok = all(0.5 <= r <= 2.0 for r in ratios)
     _line(6, "subsampled-grid parity", ok,
@@ -157,7 +157,7 @@ def test_07_theorem_bound_dominance():
         bound = poly_bound(1.0, M, R)
         assert bound <= 1.0
         fm = FeatureMap(g, "dense" if "dense" in g.provenance else "poly_exact", 0.5)
-        err = max_error_empirical(fm, kernel, M, 20_000, seed=9)
+        err = error_stats(fm, kernel, M, 20_000, seed=9)[0]
         if err > bound:
             violations.append((g.provenance, err / bound))
     _line(7, "error-bound dominance", not violations,

@@ -6,7 +6,7 @@ import pytest
 from quadfeat.bounds import counts, poly_bound, sparse_bound, subgaussian_parameter
 from quadfeat.featuremaps import FeatureMap
 from quadfeat.grids import dense_grid, exactness_residual
-from quadfeat.harness import max_error_empirical
+from quadfeat.harness import error_stats
 from quadfeat.kernels import GaussianKernel
 
 
@@ -98,4 +98,4 @@ def test_bound_dominates_dense_grid_error():
         fm = FeatureMap(g, "dense", 0.5)
         bound = poly_bound(1.0, M, R)
         assert bound <= 1.0
-        assert max_error_empirical(fm, kernel, M, 20_000, seed=0) <= bound
+        assert error_stats(fm, kernel, M, 20_000, seed=0)[0] <= bound

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfeat.featuremaps import (
+    MAX_DOUBLINGS,
     FeatureMap,
     _block_rows,
+    _double_cos,
     anova_compose,
     feature_map_from_json,
     feature_map_to_json,
@@ -224,3 +226,34 @@ class TestHalfAngleCosine:
         assert _cos_from_half(h) is h
         assert np.abs(h - expected).max() <= 4 * EPS
         assert h[0] == 1.0
+
+
+def _doubled(x: np.ndarray, k: int) -> np.ndarray:
+    """cos(2^k x) as the estimator takes it along a chain of diameters: the
+    tangent's cos x, then k in-place doublings c <- 2 c^2 - 1."""
+    c = _cos_from_half(0.5 * x)
+    for _ in range(k):
+        assert _double_cos(c) is c
+    return c
+
+
+class TestDoubledCosine:
+    """Each doubling can multiply the absolute error by 4 (d(2c^2)/dc = 4c),
+    so k doublings of the tangent's few-eps cosines stay within 5 4^k eps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=64),
+           st.integers(1, MAX_DOUBLINGS))
+    def test_within_5_4k_eps_of_cos(self, xs, k):
+        x = np.array(xs)
+        gap = np.abs(_doubled(x, k) - np.cos(2.0**k * x)).max()
+        assert gap <= 5 * 4**k * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-4, 4)),
+                    min_size=1, max_size=64),
+           st.integers(1, MAX_DOUBLINGS))
+    def test_near_the_poles_of_the_tangent(self, cases, k):
+        x = np.array([_odd_pi_multiple(j, ulps) for j, ulps in cases])
+        gap = np.abs(_doubled(x, k) - np.cos(2.0**k * x)).max()
+        assert gap <= 5 * 4**k * EPS

@@ -62,10 +62,10 @@ class TestRff:
     def test_max_error_level_at_reference_configuration(self):
         # regression band for d = 25, D = 1000, M = 2 (about 4 sigma of the
         # per-point estimator noise, maximized over 1e5 displacements)
-        from quadfeat.harness import max_error_empirical
+        from quadfeat.harness import error_stats
         fm = rff(25, 1000, 0.5, seed=0)
-        err = max_error_empirical(fm, GaussianKernel(0.5), 2.0, 100_000,
-                                  seed=100)
+        err = error_stats(fm, GaussianKernel(0.5), 2.0, 100_000,
+                          seed=100)[0]
         assert 0.08 <= err <= 0.14
 
 

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from quadfeat.errors import ConfigError, CsvParseError
-from quadfeat.featuremaps import METHOD_TAGS, FeatureMap, rff
-from quadfeat.grids import dense_grid
+from quadfeat.featuremaps import (
+    MAX_DOUBLINGS,
+    METHOD_TAGS,
+    FeatureMap,
+    _doublings,
+    rff,
+)
+from quadfeat.grids import dense_grid, sparse_grid
 from quadfeat.harness import (
     CLI_METHODS,
     REPORT_HEADER,
@@ -17,9 +23,9 @@ from quadfeat.harness import (
     build_anova_map,
     build_method_map,
     displacement_sample,
+    error_curve,
     error_stats,
     load_csv,
-    max_error_empirical,
     reports_to_csv,
     rms_error,
     sample_pairs,
@@ -103,7 +109,7 @@ class TestErrorMeasures:
     def test_zero_diameter_reduces_to_weight_sum_gap(self):
         fm = rff(4, 16, 0.5, seed=3)
         kernel = GaussianKernel(0.5)
-        got = max_error_empirical(fm, kernel, 0.0, 100, seed=0)
+        got = error_stats(fm, kernel, 0.0, 100, seed=0)[0]
         assert got == pytest.approx(abs(1.0 - fm.grid.weights.sum()), abs=1e-15)
 
     def test_exact_rule_dominated_by_taylor_bound(self):
@@ -111,7 +117,7 @@ class TestErrorMeasures:
         kernel = GaussianKernel(0.5)
         # the rule is exact through total degree 15; bound taken at 14
         bound = 3.0 * (math.e * 0.25 / 14) ** 7
-        assert max_error_empirical(fm, kernel, 0.5, 50_000, seed=1) <= bound
+        assert error_stats(fm, kernel, 0.5, 50_000, seed=1)[0] <= bound
 
     @pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
     def test_diameter_must_be_finite_and_non_negative(self, M):
@@ -128,7 +134,7 @@ class TestErrorMeasures:
     def test_monotone_in_diameter_for_scaled_samples(self):
         fm = FeatureMap(dense_grid(4, 2), "dense", 0.5)
         kernel = GaussianKernel(0.5)
-        errors = [max_error_empirical(fm, kernel, M, 20_000, seed=5)
+        errors = [error_stats(fm, kernel, M, 20_000, seed=5)[0]
                   for M in (0.25, 0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b + 1e-15 for a, b in zip(errors, errors[1:]))
 
@@ -160,6 +166,84 @@ class TestErrorMeasures:
         kernel = GaussianKernel(0.5)
         mx, rms = error_stats(fm, kernel, 1.0, 5000, seed=8)
         assert rms <= mx
+
+
+EPS = np.finfo(float).eps
+
+
+class TestErrorCurve:
+    """``error_curve`` against one ``error_stats`` call per diameter."""
+
+    # unsorted, repeated and zero diameters: 0.0625 -> 0.5 is a ratio of 8,
+    # three doublings; 0.5 -> 8 one of 16, past the cap, so 8 takes a new
+    # tangent; 20 is 10 doubled once
+    MS = [0.5, 10.0, 0.0, 8.0, 0.0625, 0.5, 20.0, 0.0]
+    # the doublings since its chain's tangent that each diameter takes
+    CHAIN = {0.0: 0, 0.0625: 0, 0.5: 3, 8.0: 0, 10.0: 0, 20.0: 1}
+    N = 2000  # several blocks of the 40-term maps below
+
+    def test_doubling_steps(self):
+        assert _doublings(sorted(set(self.MS))) == [self.CHAIN[M] for M in
+                                                    sorted(self.CHAIN)]
+        # the paper's grid: three of its five diameters are doublings
+        assert _doublings([0.1, 0.25, 0.5, 1.0, 2.0]) == [0, 0, 1, 1, 1]
+        # a chain takes at most MAX_DOUBLINGS from one tangent
+        assert MAX_DOUBLINGS == 3
+        assert _doublings([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]) == [0, 1, 1, 1, 0, 1]
+        assert _doublings([0.25, 1.0, 4.0]) == [0, 2, 0]
+        # exactly 2^k times: 0.3 * 2 == 0.6, but 0.1 * 6 != 0.6
+        assert _doublings([0.3, 0.6, 0.1 * 6]) == [0, 1, 0]
+
+    @pytest.mark.parametrize("method", ["rff", "qmc", "subsampled", "poly-exact"])
+    def test_unstructured_maps_against_one_diameter_calls(self, method):
+        fm = build_method_map(method, 3, 40, 0.5, seed=1, L=4)
+        assert fm.grid.structure is None
+        kernel = GaussianKernel(0.5)
+        curve = error_curve(fm, kernel, self.MS, self.N, seed=2)
+        assert len(curve) == len(self.MS)
+        scale = EPS * np.abs(fm.weights).sum()
+        for M, got in zip(self.MS, curve):
+            want = error_stats(fm, kernel, M, self.N, seed=2)
+            k = self.CHAIN[M]
+            if k == 0:
+                assert got == want
+            else:
+                assert np.abs(np.subtract(got, want)).max() <= 5 * 4**k * scale
+
+    @pytest.mark.parametrize("method", ["rff", "poly-exact"])
+    def test_every_doubled_estimate_within_the_bound(self, method):
+        fm = build_method_map(method, 3, 40, 0.5, seed=3, L=4)
+        U = displacement_sample(3, 1.0, self.N, seed=4)
+        scales = sorted(self.CHAIN)
+        estimates = fm._scaled_estimates(U, scales)
+        scale = EPS * np.abs(fm.weights).sum()
+        for s, estimate in zip(scales, estimates):
+            want = fm.approx(U * s)
+            k = self.CHAIN[s]
+            if k == 0:
+                np.testing.assert_array_equal(estimate, want)
+            else:
+                assert np.abs(estimate - want).max() <= 5 * 4**k * scale
+
+    @pytest.mark.parametrize("which", ["dense", "sparse", "anova"])
+    def test_structured_and_anova_maps_are_bitwise(self, which):
+        if which == "anova":
+            kernel = random_anova(d=4, m=3, subset_size=2, gamma=0.25, seed=5)
+            fm = build_anova_map(kernel, "rff", 8, seed=0)
+        else:
+            kernel = GaussianKernel(0.5)
+            grid = dense_grid(4, 3) if which == "dense" else sparse_grid(2, 3)
+            fm = FeatureMap(grid, which, 0.5)
+        curve = error_curve(fm, kernel, self.MS, 500, seed=6)
+        assert curve == [error_stats(fm, kernel, M, 500, seed=6) for M in self.MS]
+
+    def test_no_diameters(self):
+        assert error_curve(rff(3, 8, 0.5, 0), GaussianKernel(0.5), [], 10, 0) == []
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
+    def test_every_diameter_is_checked(self, M):
+        with pytest.raises(ValueError, match="M must be"):
+            error_curve(rff(3, 8, 0.5, 0), GaussianKernel(0.5), [0.5, M], 10, 0)
 
 
 class TestSyntheticMixture:
@@ -320,6 +404,52 @@ class TestSweep:
         assert all(r.build_ms == 0
                    for r, built in zip(reports, built_rows) if not built)
 
+
+    def test_evaluates_each_map_and_seed_once(self, monkeypatch):
+        from quadfeat import harness
+        real = harness.error_curve
+        calls = []
+
+        def counting(fm, kernel, Ms, n, seed):
+            calls.append((fm.method, fm.count, list(Ms), seed))
+            time.sleep(0.005)  # every evaluation takes at least 5 ms
+            return real(fm, kernel, Ms, n, seed)
+
+        monkeypatch.setattr(harness, "error_curve", counting)
+        config = {"methods": ["rff", "sparse"], "d": 3, "gamma": 0.5,
+                  "D": [8, 16], "M": [1.0, 0.25, 1.0], "seeds": [0, 1],
+                  "n_eval": 300, "level": 2}
+        reports = sweep(config)
+        # one call per (map, seed), with the diameters of its cells in order;
+        # the sparse grid ignores D, so its two D share one map and one call
+        sparse_count = sparse_grid(2, 3).count
+        Ms = [1.0, 0.25, 1.0]
+        assert calls == [("rff", 8, Ms, 0), ("rff", 8, Ms, 1),
+                         ("rff", 16, Ms, 0), ("rff", 16, Ms, 1),
+                         ("sparse", sparse_count, 2 * Ms, 0),
+                         ("sparse", sparse_count, 2 * Ms, 1)]
+        cells = [(m, D, M, s) for m in ("rff", "sparse") for D in (8, 16)
+                 for M in Ms for s in (0, 1)]
+        assert [(r.method, r.M, r.seed) for r in reports] == [
+            (m, M, s) for m, D, M, s in cells]
+        # the first row of each group carries its evaluation time, the rest 0
+        first = {}
+        for i, (m, D, M, s) in enumerate(cells):
+            first.setdefault((m, D if m == "rff" else None, s), i)
+        timed = sorted(first.values())
+        assert [i for i, r in enumerate(reports) if r.embed_ms >= 5] == timed
+        assert all(r.embed_ms == 0 for i, r in enumerate(reports) if i not in timed)
+        # and every row is its own one-cell evaluation; 1.0 is 0.25 doubled twice
+        kernel = GaussianKernel(0.5)
+        for row in reports:
+            fm = build_method_map(row.method, 3, row.D, 0.5, row.seed, level=2)
+            want = error_stats(fm, kernel, row.M, 300, row.seed)
+            if row.method == "sparse" or row.M == 0.25:
+                assert (row.max_err, row.rms_err) == want
+            else:
+                bound = 5 * 4**2 * EPS * np.abs(fm.weights).sum()
+                assert np.abs(np.subtract((row.max_err, row.rms_err), want)).max() \
+                    <= bound
 
 def test_every_cli_method_builds_its_tag():
     assert CLI_METHODS == tuple(METHOD_TAGS)

@@ -1,11 +1,14 @@
-"""Peak allocation of the embeddings and of ``quadfeat embed``'s writer.
+"""Peak allocation of the embeddings, of ``quadfeat embed``'s writer and of
+the error measurement.
 
 Each feature is written once, into its final column, so an embedding must
 not hold a second copy of its output at any point; beyond the output it
 holds only its two scratch arrays of at most ``BLOCK`` phase entries (one
 row each for a part of more than ``BLOCK`` cosine terms).  The
 writer formats a fixed number of values at a time, so its peak is a
-constant, however many rows a block has.  ``tracemalloc`` sees numpy's data buffers, so its peak
+constant, however many rows a block has.  The error measurement holds the
+displacement sample, at most one scaled copy of it and the kernel's
+temporaries, and no (n, D) array.  ``tracemalloc`` sees numpy's data buffers, so its peak
 bounds what the call allocated.
 """
 import tracemalloc
@@ -15,7 +18,8 @@ import pytest
 
 from quadfeat import cli
 from quadfeat.featuremaps import BLOCK, AnovaFeatureMap, anova_compose, rff
-from quadfeat.kernels import random_anova
+from quadfeat.harness import error_curve
+from quadfeat.kernels import GaussianKernel, random_anova
 
 PEAK_OVER_OUTPUT = 1.1
 # the two scratch arrays, plus numpy's 64 KiB ufunc buffer (the broadcast
@@ -113,3 +117,25 @@ def test_writer_peak_is_a_constant(rows):
     finally:
         tracemalloc.stop()
     assert peak <= WRITER_PEAK_BYTES
+
+
+@pytest.mark.parametrize("Ms", [[0.5], [0.1, 0.25, 0.5, 1.0, 2.0]],
+                         ids=["one", "five"])
+def test_error_curve_holds_no_per_diameter_phases(Ms):
+    # one (n, D) array would be 54 MB here; the sample is 1 MB
+    fm, kernel, n = _plain_map(), GaussianKernel(0.5), 5000
+    error_curve(fm, kernel, Ms, 10, seed=0)  # the frequencies are cached
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        error_curve(fm, kernel, Ms, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sample = n * fm.d * 8
+    # the sample, the kernel's squares and, for more than one diameter, one
+    # scaled copy; one estimate per diameter and one difference; the phase
+    # buffer and a block of scaled rows
+    copies = 2 if len(Ms) == 1 else 3
+    assert peak <= (copies * sample + (len(Ms) + 1) * n * 8
+                    + BLOCK * 8 + BLOCK // fm.count * fm.d * 8 + 2**17)

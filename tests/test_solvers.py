@@ -20,6 +20,7 @@ from quadfeat.grids import (
     moment_multi_indices,
     moment_targets,
     monomial_matrix,
+    sparse_grid,
     subsample_dense_grid,
     subsample_grid,
 )
@@ -465,6 +466,21 @@ class TestReweight:
             reweight(candidates, (X, Y, X), kernel)
         with pytest.raises(ValueError, match="pairs must be .* got 3"):
             bisect_lambda(candidates, [X, Y, Y], kernel, 3)
+
+    @pytest.mark.parametrize("entry", ["reweight", "bisect_lambda"])
+    def test_signed_candidates_refused(self, entry):
+        # both entry points share the one check: bisect_lambda once fitted
+        # sparse_grid(2, 2), whose outer weights are negative, to 3 points
+        candidates = sparse_grid(2, 2)
+        assert not candidates.nonnegative
+        rng = np.random.default_rng(59)
+        X, Y = rng.standard_normal((2, 50, 2))
+        kernel = GaussianKernel(0.5)
+        with pytest.raises(ValueError, match="non-negative weights"):
+            if entry == "reweight":
+                reweight(candidates, (X, Y), kernel)
+            else:
+                bisect_lambda(candidates, (X, Y), kernel, 3)
 
     def test_matches_projected_gradient_reference(self):
         candidates, pairs, kernel = synthetic_reweight_problem(seed=13, n=40,

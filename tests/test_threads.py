@@ -6,8 +6,9 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# a d = 25 sweep without its timing columns, a five-block rff embedding and
-# a four-block ANOVA embedding, hashed together
+# a d = 25 sweep over the paper's diameters (chains of one to three cosine
+# doublings) without its timing columns, a five-block rff embedding and a
+# four-block ANOVA embedding, hashed together
 SCRIPT = """
 import hashlib
 import numpy as np
@@ -15,7 +16,8 @@ from quadfeat import featuremaps, harness, kernels
 
 digest = hashlib.sha1()
 reports = harness.sweep({"methods": ["rff", "qmc", "subsampled", "poly-exact"],
-                         "d": 25, "gamma": 0.5, "D": [1351], "M": [0.25, 1.0],
+                         "d": 25, "gamma": 0.5, "D": [1351],
+                         "M": [0.1, 0.25, 0.5, 1.0, 2.0],
                          "seeds": [0], "n_eval": 2000})
 digest.update(harness.strip_timing_columns(harness.reports_to_csv(reports)).encode())
 rng = np.random.default_rng(7)
