@@ -7,7 +7,13 @@ squared as in the normal equations.  A column enters by Gram-Schmidt and
 leaves by one Householder reflection, each O(nk) for k passive columns.  A
 column numerically dependent on the passive set, or whose coefficient would
 enter non-positive, is passed over for that step, as in Lawson & Hanson
-(1974, ch. 23).
+(1974, ch. 23).  On a large system, pricing is partial, as in simplex codes
+(Maros 2003): a full pass forms the gradient M'r over every column and
+keeps the ``_SHORTLIST`` largest, and the steps after it price only those,
+entering the best positive one.  When none of them can enter, a full pass
+follows.  Only a full pass may end the solve, so the KKT exit test covers
+every column.  Lawson and Hanson's convergence argument needs only that
+each entering column has a positive gradient.
 
 On top of it sit
 
@@ -54,23 +60,41 @@ from .kernels import GaussianKernel
 # an entering column whose part orthogonal to the passive columns is below
 # this fraction of its norm lies numerically in their span
 _DEPENDENT = 1e-8
+# a full pricing pass shortlists this many columns for the steps after it,
+# once M has _SHORTLIST_FROM entries (1.2 MB of doubles): on smaller systems
+# a full pass costs less than the extra steps a shortlist takes
+_SHORTLIST = 8
+_SHORTLIST_FROM = 150_000
 POLY_EXACT_TOL = 1e-8  # worst moment violation a poly-exact rule may keep
 
 
 @dataclass(frozen=True)
 class NnlsSolution:
-    """Solution of min ||Ma - b||^2 s.t. a >= 0."""
+    """Solution of min ||Ma - b||^2 s.t. a >= 0.
+
+    ``iterations`` counts the steps, each of which entered one column, and
+    ``passes`` the pricing passes over all p columns; ``objectives`` holds
+    0.5||Ma - b||^2 at the start of each step and at the exit.
+    """
 
     a: np.ndarray
     residual_norm: float
     active_set: tuple[int, ...]
     iterations: int
+    passes: int
     objectives: tuple[float, ...]
 
 
 def nnls(M: np.ndarray, b: np.ndarray, tol: float = 1e-10,
          max_iter: Optional[int] = None) -> NnlsSolution:
     """Lawson-Hanson NNLS on an updated orthonormal basis of the passive set.
+
+    Once M has ``_SHORTLIST_FROM`` entries, each full pricing pass over all
+    p columns shortlists the ``_SHORTLIST`` columns with the largest
+    gradient, and the steps after it price only those until none can
+    enter.  The solve ends only on a full pass, so the KKT test below is
+    exact over all p columns.  ``iterations`` counts the steps and
+    ``passes`` the full pricing passes.
 
     KKT at exit: gradient components on the support vanish to within
     ``tol * ||M^T b||`` and are non-negative off the support, except on
@@ -207,12 +231,12 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
     Ma = np.zeros(n)
     ps = _PassiveSet(MT, b)
     objectives: list[float] = []
-    outer = 0
+    outer = passes = 0
 
     def solution():
         active = tuple(np.flatnonzero(a == 0.0).tolist())
         return NnlsSolution(a.copy(), float(np.linalg.norm(M @ a - b)), active,
-                            outer, tuple(objectives))
+                            outer, passes, tuple(objectives))
 
     if start is not None and ps.reset(np.asarray(start, dtype=np.intp)):
         while ps.k:
@@ -222,27 +246,48 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
                 break
             ps.remove(np.flatnonzero(z <= 0.0))
 
+    # partial pricing: a full pass forms the gradient M'r of every column and
+    # copies the K largest columns into one block MS; the steps after it
+    # price only MS, and a full pass follows when none of it can enter.
+    # ``spent`` marks the shortlisted columns passive at the pass or entered since
+    K = _SHORTLIST if p > _SHORTLIST and n * p >= _SHORTLIST_FROM else 0
+    short = np.empty(0, dtype=np.intp)
+    MS, spent = MT[short], np.zeros(0, dtype=bool)
+    floor = tol * scale
     while True:
         r = b - Ma
         objectives.append(0.5 * float(r @ r))
-        w = MT @ r
-        w[ps.indices] = -np.inf
-        if not p or w.max() <= tol * scale:
+        entered = None
+        for cols in (short, None):
+            if cols is not None:
+                w = MS @ r
+                w[spent] = -np.inf
+            else:
+                passes += 1
+                w = MT @ r
+                w[ps.indices] = -np.inf
+                if K:
+                    short = np.argpartition(w, -K)[-K:]
+                    MS, spent = MT[short], w[short] == -np.inf
+            while w.size and w[i := int(np.argmax(w))] > floor:
+                if outer >= max_iter:
+                    raise ConvergenceError(
+                        f"NNLS did not converge within {max_iter} iterations",
+                        iterations=outer, best=solution())
+                j = i if cols is None else int(cols[i])
+                if (entered := ps.enter(j)) is not None:
+                    break
+                # Lawson & Hanson's rule: a column that cannot enter with a
+                # positive coefficient cannot lower the unpenalized objective,
+                # so it is passed over for this step
+                w[i] = -np.inf
+            if entered is not None:
+                break
+        else:
+            # only a full pass ends the solve, so the KKT test covers every column
             return solution()
-        j = int(np.argmax(w))
-        if outer >= max_iter:
-            raise ConvergenceError(
-                f"NNLS did not converge within {max_iter} iterations",
-                iterations=outer, best=solution())
         outer += 1
-        while (entered := ps.enter(j)) is None:
-            # Lawson & Hanson's rule: a column that cannot enter with a
-            # positive coefficient cannot lower the unpenalized objective,
-            # so it is passed over for this step
-            w[j] = -np.inf
-            j = int(np.argmax(w))
-            if w[j] <= tol * scale:
-                return solution()
+        spent |= short == j
         z, fit = entered
 
         inner = 0

@@ -260,6 +260,111 @@ class TestNnls:
             assert ours == pytest.approx(ref, rel=1e-10)
 
 
+def poly_exact_system(d, R, D, seed):
+    """The Hermite-basis moment system ``construct_poly_exact`` solves."""
+    points = np.random.default_rng(seed).standard_normal((D, d))
+    M = hermite_matrix(points, moment_multi_indices(d, R, even=True))
+    return M, np.eye(M.shape[0])[0]
+
+
+@pytest.fixture
+def shortlist_always(monkeypatch):
+    """Shortlist pricing on systems of any size, not only large ones."""
+    monkeypatch.setattr(solvers, "_SHORTLIST_FROM", 0)
+
+
+def full_pricing_nnls(M, b, start=None):
+    """The same solver with every step priced over all columns."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solvers, "_SHORTLIST_FROM", math.inf)
+        return solvers._lawson_hanson(M, b, 1e-10, None, start=start)
+
+
+class TestShortlistPricing:
+    """Steps between full pricing passes price only a shortlist of columns."""
+
+    def test_poly_exact_system_matches_the_textbook_solver(self):
+        # 326 x 1351: large enough for the shortlist without forcing it
+        M, b = poly_exact_system(25, 2, 1351, 0)
+        assert M.size >= solvers._SHORTLIST_FROM
+        sol = nnls(M, b, tol=1e-13)
+        assert sol.passes < sol.iterations
+        ref = squared_residual(M, b, textbook_lawson_hanson(M, b, 1e-13))
+        # exact rules: both objectives are zero to rounding
+        assert squared_residual(M, b, sol.a) == pytest.approx(ref, rel=1e-10,
+                                                              abs=1e-20)
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+
+    # shift 0: the columns span a cone that holds b, so the fit is exact;
+    # shift 0.2: they lean to one side and the objective stays positive
+    @pytest.mark.parametrize("n, p, shift", [(100, 1000, 0.0), (200, 500, 0.0),
+                                             (100, 1000, 0.2), (200, 500, 0.2)])
+    def test_wide_random_systems_match_the_textbook_solver(
+            self, shortlist_always, n, p, shift):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, p)) + shift
+        b = rng.standard_normal(n)
+        sol = nnls(M, b)
+        assert sol.passes < sol.iterations
+        ref = squared_residual(M, b, textbook_lawson_hanson(M, b, 1e-10))
+        assert squared_residual(M, b, sol.a) == pytest.approx(
+            ref, rel=1e-10, abs=1e-20 * float(b @ b))
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+        assert (np.diff(sol.objectives) <= 1e-12 * float(b @ b)).all()
+
+    @pytest.mark.parametrize("n, p, forced", [(400, 200, True), (500, 400, False)])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_full_column_rank_fit_is_the_full_pricing_minimizer(
+            self, monkeypatch, n, p, forced, warm):
+        # full column rank: the minimizer is unique, so the shortlist moves
+        # it only by rounding
+        if forced:
+            monkeypatch.setattr(solvers, "_SHORTLIST_FROM", 0)
+        rng = np.random.default_rng(p)
+        M = rng.standard_normal((n, p))
+        b = rng.standard_normal(n)
+        start = np.arange(0, p, 3) if warm else None
+        sol = solvers._lawson_hanson(M, b, 1e-10, None, start=start)
+        assert sol.passes < sol.iterations
+        ref = full_pricing_nnls(M, b, start=start)
+        assert ref.passes == ref.iterations + 1
+        np.testing.assert_array_equal(sol.a > 0, ref.a > 0)
+        assert np.abs(sol.a - ref.a).max() <= 1e-12 * np.abs(ref.a).max()
+
+    def test_exhausted_shortlist_is_followed_by_a_full_pass(self, shortlist_always):
+        # columns 0-7 are multiples of e_1 and make the shortlist; column 8,
+        # e_2, has the smallest gradient and is left off it.  Once column 7
+        # fits the e_1 part of b, every shortlisted gradient is exactly 0, and
+        # the full pass after them must find column 8
+        M = np.zeros((2, 9))
+        M[0, :8] = np.arange(1.0, 9.0)
+        M[1, 8] = 1.0
+        b = np.array([1.0, 0.5])
+        sol = nnls(M, b)
+        np.testing.assert_array_equal(sol.a, [0, 0, 0, 0, 0, 0, 0, 0.125, 0.5])
+        assert sol.residual_norm == 0.0
+        # one step per entering column, and a full pass for each of them and
+        # the exit
+        assert (sol.iterations, sol.passes) == (2, 3)
+
+    def test_poly_exact_build_takes_few_full_passes(self, monkeypatch):
+        real = solvers.nnls
+        solutions = []
+
+        def recording(M, b, **kwargs):
+            solutions.append(real(M, b, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(solvers, "nnls", recording)
+        construct_poly_exact(25, 2, 1351, seed=0)
+        (sol,) = solutions
+        assert 4 * sol.passes <= sol.iterations
+
+
 class TestConstructPolyExact:
     def test_degree_zero_is_weight_normalization(self):
         for D in (1, 10, 40):
