@@ -87,7 +87,9 @@ import numpy as np
 
 from .errors import EmbeddingUnsupportedError, config_field
 from .grids import (
+    BLOCK,
     GridQuadrature,
+    _block_rows,
     _cos_from_half,
     fold_twins,
     grid_from_json,
@@ -101,16 +103,6 @@ from .kernels import AnovaKernel, GaussianKernel, _number
 METHOD_TAGS = {"rff": "rff", "qmc": "qmc", "dense": "dense", "sparse": "sparse",
                "subsampled": "subsampled", "poly-exact": "poly_exact",
                "reweighted": "reweighted"}
-
-# phase entries (rows x points) one blocked pass holds at once: the generic
-# estimator's buffer, and each of the embedding kernel's two scratch arrays
-BLOCK = 2**15
-
-
-def _block_rows(count: int) -> int:
-    """Rows of ``count`` points each that one block of ``BLOCK`` entries holds."""
-    return max(1, BLOCK // max(1, count))
-
 
 # doublings c <- 2 c^2 - 1 that one tangent's cosines may take: each can
 # multiply their absolute error by up to 4
@@ -408,20 +400,23 @@ def radical_inverse(n: int, base: int) -> float:
 def halton_points(d: int, D: int) -> np.ndarray:
     """First D unscrambled Halton points in (0, 1)^d, index starting at 1.
 
-    ``radical_inverse`` on every (index, base) pair at once: the digit loop
-    runs until every index is used up, and a spent index only adds zeros,
-    so each entry is bitwise the scalar result.
+    Column j is ``radical_inverse`` of the indices 1..D in the j-th prime,
+    all indices at once and one column at a time, the prime a scalar
+    divisor: each column's digit loop runs until the largest index, D, is
+    used up, and a spent index only adds zeros, so each entry is bitwise
+    the scalar result.
     """
     if d > 1000:
         raise ValueError("Halton prime table is bounded at d = 1000")
-    bases = np.array(_primes(d))
-    n = np.repeat(np.arange(1, D + 1)[:, None], d, axis=1)
-    f, r = np.ones((D, d)), np.zeros((D, d))
-    while n.any():
-        f /= bases
-        r += f * (n % bases)
-        n //= bases
-    return r
+    out = np.empty((D, d))
+    for j, base in enumerate(_primes(d)):
+        n, f, r = np.arange(1, D + 1), 1.0, np.zeros(D)
+        while n.any():
+            f /= base
+            n, digit = np.divmod(n, base)
+            r += f * digit
+        out[:, j] = r
+    return out
 
 
 def inv_norm_cdf(p: np.ndarray) -> np.ndarray:

@@ -31,6 +31,13 @@ probability proportional to weight, 1/D per draw, merging duplicates; a
 lattice variant draws from the tensor-product law, so grids far beyond
 the materialization cap can still be subsampled.
 
+Whole rows are ordered by one sort of them as byte strings
+(``_row_bytes``), not by one pass per coordinate: the duplicate-point
+check of every grid, the twin fold, the interleaving of a Smolyak grid's
+tensor blocks (rows of one-byte node ranks, whose byte order is their
+lexicographic order) and the merge of a lattice subsample's repeated
+draws (rows of one-byte node indices).
+
 Every cosine of the kernel estimate, here and on the generic path in
 ``featuremaps``, and both halves of every embedding come from
 ``_cos_from_half`` by the half-angle identities cos x = 2 / (1 + t^2) - 1
@@ -53,6 +60,15 @@ from .quad1d import gauss_hermite, normal_moment
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_CONSTRAINT_CAP = 1_000_000
 MERGE_DECIMALS = 12
+# entries (rows x columns) one blocked pass holds at once: the generic
+# estimator's phase buffer, each of the embedding kernel's two scratch
+# arrays in ``featuremaps``, and the factor buffer of ``_product_matrix``
+BLOCK = 2**15
+
+
+def _block_rows(count: int) -> int:
+    """Rows of ``count`` entries each that one block of ``BLOCK`` entries holds."""
+    return max(1, BLOCK // max(1, count))
 
 
 @dataclass(frozen=True)
@@ -112,18 +128,40 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
     return bool(np.take_along_axis(nxt > prev, first, axis=1).all())
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-D array as one byte string each, so that
+    one sort or comparison handles whole rows, not one pass per column.
+    Equal rows have equal bytes once -0.0 is folded into 0.0, and rows of
+    uint8 sort as byte strings in lexicographic order."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
 def _check_unique_rows(points: np.ndarray) -> None:
-    if points.shape[0] < 2:
+    """Raise ValueError naming the first row that repeats an earlier one
+    after rounding to ``MERGE_DECIMALS`` decimals."""
+    n, d = points.shape
+    if n < 2:
         return
-    rounded = np.round(points, MERGE_DECIMALS)
-    # dense and Smolyak grids arrive sorted, and sorted distinct rows are
-    # accepted in one pass; anything else is sorted first
-    if _strictly_increasing(rounded):
-        return
-    order = np.lexsort(rounded.T[::-1])
-    srt = rounded[order]
-    if (np.abs(np.diff(srt, axis=0)).max(axis=1) == 0.0).any():
-        raise ValueError("duplicate points after merging")
+    if d:
+        rounded = np.round(points, MERGE_DECIMALS)
+        # dense and Smolyak grids arrive sorted, and sorted distinct rows are
+        # accepted in one pass; anything else is sorted as byte strings
+        if _strictly_increasing(rounded):
+            return
+        rounded += 0.0  # -0.0 -> 0.0, so equal rows have equal bytes
+        keys = _row_bytes(rounded)
+        order = np.argsort(keys, kind="stable")
+        srt = keys[order]
+        repeats = np.flatnonzero(srt[1:] == srt[:-1])
+        if not repeats.size:
+            return
+        # the stable sort puts each repeat right after an earlier equal row
+        k = repeats[np.argmin(order[repeats + 1])]
+        first, second = order[k], order[k + 1]
+    else:  # every row is the empty row
+        first, second = 0, 1
+    raise ValueError(f"duplicate points after merging: rows {first} and {second} "
+                     f"are equal to {MERGE_DECIMALS} decimals")
 
 
 def fold_twins(points: np.ndarray, weights: np.ndarray
@@ -141,8 +179,7 @@ def fold_twins(points: np.ndarray, weights: np.ndarray
     p = points + 0.0  # -0.0 -> 0.0, so equal rows have equal bytes
     lead = p[np.arange(p.shape[0]), np.argmax(p != 0.0, axis=1)]
     unsigned = np.where(lead[:, None] < 0.0, 0.0 - p, p)
-    row = np.dtype((np.void, unsigned.itemsize * unsigned.shape[1]))
-    order = np.argsort(unsigned.view(row)[:, 0], kind="stable")
+    order = np.argsort(_row_bytes(unsigned), kind="stable")
     srt = unsigned[order]
     first = np.ones(p.shape[0], dtype=bool)
     first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
@@ -152,11 +189,11 @@ def fold_twins(points: np.ndarray, weights: np.ndarray
     return keep[ascending], np.add.reduceat(weights[order], starts)[ascending]
 
 
-def _append_coordinate(points, weights, rule):
-    """Pair every (point, weight) with every node of ``rule`` in a new last coordinate."""
-    n, L = points.shape[0], rule.point_count
-    return (np.column_stack([np.repeat(points, L, axis=0), np.tile(rule.nodes, n)]),
-            np.multiply.outer(weights, rule.weights).ravel())
+def _append_coordinate(rows, weights, nodes, node_weights):
+    """Pair every (row, weight) with every node, in a new last coordinate."""
+    n, L = rows.shape[0], nodes.size
+    return (np.column_stack([np.repeat(rows, L, axis=0), np.tile(nodes, n)]),
+            np.multiply.outer(weights, node_weights).ravel())
 
 
 def _by_level(levels, d, extend, join):
@@ -195,16 +232,26 @@ def _structured_grid(structure: tuple, d: int, cap: int,
     if total > cap:
         raise GridSizeError(f"{provenance} would need {total} points (cap {cap})",
                             requested=total, cap=cap)
-    levels = _by_level([(np.zeros((1, 0)), np.ones(1))]
-                       + [(np.zeros((0, 0)), np.zeros(0))] * A, d,
-                       lambda block, m, j: _append_coordinate(*block, rules[m]),
+    # the blocks are built as rows of node ranks among all the family's
+    # nodes, which its rules do not share, so rows of ranks sort as the
+    # points do; at most 2^8 - 1 nodes (2^A <= 200), so a rank is one byte
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    by_value = np.argsort(nodes, kind="stable")
+    rank = np.empty(nodes.size, dtype=np.uint8)
+    rank[by_value] = np.arange(nodes.size)
+    ranks = np.split(rank, np.cumsum([rule.point_count for rule in rules])[:-1])
+    levels = _by_level([(np.zeros((1, 0), np.uint8), np.ones(1))]
+                       + [(np.zeros((0, 0), np.uint8), np.zeros(0))] * A, d,
+                       lambda block, m, j: _append_coordinate(*block, ranks[m],
+                                                              rules[m].weights),
                        _concat)
-    points, weights = _concat(
+    rows, weights = _concat(
         [(levels[r][0], (-1) ** (A - r) * math.comb(d - 1, A - r) * levels[r][1])
          for r in range(lowest, A + 1)])
     if A and d > 1:  # more than one block: interleave them
-        order = np.lexsort(points.T[::-1])
-        points, weights = points[order], weights[order]
+        order = np.argsort(_row_bytes(rows), kind="stable")
+        rows, weights = rows[order], weights[order]
+    points = nodes[by_value][rows]
     g = GridQuadrature(points, weights, provenance=provenance)
     object.__setattr__(g, "structure", structure)
     return g
@@ -324,21 +371,19 @@ def subsample_dense_grid(L: int, d: int, D: int, seed: int) -> GridQuadrature:
     rule = gauss_hermite(L)
     rng = np.random.default_rng(seed)
     idx = rng.choice(L, size=(D, d), replace=True, p=rule.weights)
-    rows, counts = np.unique(idx, axis=0, return_counts=True)
+    # L <= 200, so a node index is one byte, and the distinct rows of bytes
+    # come out in the lexicographic order of the index rows
+    keys, counts = np.unique(_row_bytes(idx.astype(np.uint8)), return_counts=True)
     return GridQuadrature(
-        rule.nodes[rows],
+        rule.nodes[keys.view(np.uint8).reshape(-1, d)],
         counts / D,
         provenance=f"subsampled_dense(L={L}, d={d}, D={D}, seed={seed})",
     )
 
 
-def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP,
-                         even: bool = False):
-    """All exponent vectors r in N^d with sum(r) <= R, or with ``even`` only
-    those of even sum(r), after a size check."""
-    step = 2 if even else 1
-    # C(d - 1 + k, k) vectors of total degree k; all of them sum to C(d + R, d)
-    n_constraints = sum(math.comb(d - 1 + k, k) for k in range(0, R + 1, step))
+def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP):
+    """All exponent vectors r in N^d with sum(r) <= R, after a size check."""
+    n_constraints = math.comb(d + R, d)
     if n_constraints > cap:
         raise GridSizeError(
             f"{n_constraints} moment constraints exceed the cap {cap}",
@@ -347,7 +392,7 @@ def moment_multi_indices(d: int, R: int, cap: int = DEFAULT_CONSTRAINT_CAP,
         )
     levels = _by_level([[()]] + [[]] * R, d, lambda rs, m, j: [r + (m,) for r in rs],
                        lambda parts: [r for part in parts for r in part])
-    return sorted(r for level in levels[::step] for r in level)
+    return sorted(r for level in levels for r in level)
 
 
 def _max_degree(indices) -> int:
@@ -355,42 +400,68 @@ def _max_degree(indices) -> int:
 
 
 def _product_matrix(table: np.ndarray, indices) -> np.ndarray:
-    """Rows prod_l table[l, r_l] for each exponent vector r, columns the
-    points: ``table`` is (d, degree + 1, D), one row of values per coordinate
-    and per-coordinate degree, and factors of degree 0 are taken as 1."""
-    out = np.empty((len(indices), table.shape[2]))
-    for row, r in enumerate(indices):
-        acc = out[row]
-        acc[:] = 1.0
-        for l, rl in enumerate(r):
-            if rl:
-                acc *= table[l, rl]
-    return out
+    """Rows prod_l table[:, r_l, l] for each exponent vector r, columns the
+    points, as the transpose of a C-contiguous (D, rows) array: M.T needs
+    no copy.  ``table`` is a C-contiguous (D, degree + 1, d) array, one
+    value per point, per-coordinate degree and coordinate, whose degree-0
+    entries are 1.
+
+    Each row's factors of nonzero degree are taken in coordinate order, and
+    a row with fewer of them than the most any row has is padded with
+    degree-0 factors of 1.  So, a block of ``_block_rows(rows)`` points at a
+    time, factor f of every row is gathered into one reused buffer and
+    multiplied in, and each entry is the product of its factors in
+    coordinate order, exactly as a loop over the rows that multiplies them
+    into 1 would form it.
+    """
+    D, K, d = table.shape
+    r = np.array(indices, dtype=np.intp).reshape(len(indices), d)
+    width = int((r > 0).sum(axis=1).max(initial=1))
+    # the coordinates of each row's nonzero degrees first, in order
+    coords = np.argsort(r == 0, axis=1, kind="stable")[:, :width]
+    degrees = np.take_along_axis(r, coords, axis=1)
+    columns = np.where(degrees > 0, degrees * d + coords, 0)
+    flat = table.reshape(D, K * d)
+    out = np.empty((D, len(indices)))
+    step = _block_rows(len(indices))
+    factor = np.empty((min(step, D), len(indices)))
+    # mode="clip" (the columns are in range) lets take write to ``out``
+    # without a buffer of its own
+    for first in range(0, D, step):
+        src = flat[first:first + step]
+        block = np.take(src, columns[:, 0], axis=1, mode="clip",
+                        out=out[first:first + step])
+        for f in range(1, width):
+            block *= np.take(src, columns[:, f], axis=1, mode="clip",
+                             out=factor[:len(block)])
+    return out.T
 
 
 def monomial_matrix(points: np.ndarray, indices) -> np.ndarray:
-    """Rows prod_l (w_i)_l^{r_l} for each exponent vector r, columns the points."""
+    """Rows prod_l (w_i)_l^{r_l} for each exponent vector r, columns the
+    points: a (rows, D) array, the transpose of a C-contiguous one."""
     D, d = points.shape
-    powers = np.ones((d, _max_degree(indices) + 1, D))
+    powers = np.ones((D, _max_degree(indices) + 1, d))
     for p in range(1, powers.shape[1]):
-        powers[:, p] = powers[:, p - 1] * points.T
+        powers[:, p] = powers[:, p - 1] * points
     return _product_matrix(powers, indices)
 
 
 def hermite_matrix(points: np.ndarray, indices) -> np.ndarray:
     """Rows prod_l h_{r_l}((w_i)_l) for each exponent vector r, columns the
     points, with h_k = He_k / sqrt(k!) the probabilists' Hermite polynomials
-    normalized to be orthonormal under N(0, 1) (Gautschi 2004).
+    normalized to be orthonormal under N(0, 1) (Gautschi 2004).  The
+    (rows, D) array is the transpose of a C-contiguous (D, rows) one, so
+    ``nnls`` takes its columns as the rows of M.T without a copy.
 
     h_0 = 1, h_1(x) = x and sqrt(k + 1) h_{k+1} = x h_k - sqrt(k) h_{k-1}.
     Row r is monomial row r plus a combination of rows of lower total degree,
     and the normal expectation of row r is 1 for r = 0 and 0 otherwise.
     """
     D, d = points.shape
-    table = np.ones((d, _max_degree(indices) + 1, D))
-    x = points.T
+    table = np.ones((D, _max_degree(indices) + 1, d))
     for k in range(1, table.shape[1]):
-        table[:, k] = x * table[:, k - 1]
+        table[:, k] = points * table[:, k - 1]
         if k > 1:
             table[:, k] -= math.sqrt(k - 1) * table[:, k - 2]
             table[:, k] /= math.sqrt(k)
@@ -405,16 +476,20 @@ def moment_targets(indices) -> np.ndarray:
     return moments[np.array(indices, dtype=np.intp)].prod(axis=1)
 
 
+def moment_residual(points: np.ndarray, weights: np.ndarray, indices) -> float:
+    """Worst moment-matching error of the rule (points, weights) over the
+    exponent vectors ``indices``."""
+    achieved = monomial_matrix(points, indices) @ weights
+    return float(np.abs(achieved - moment_targets(indices)).max())
+
+
 def exactness_residual(
     g: GridQuadrature, R: int, cap: int = DEFAULT_CONSTRAINT_CAP
 ) -> float:
     """Worst moment-matching error over all total degrees <= R."""
     if R < 0:
         raise ValueError("R must be non-negative")
-    indices = moment_multi_indices(g.d, R, cap=cap)
-    M = monomial_matrix(g.points, indices)
-    achieved = M @ g.weights
-    return float(np.abs(achieved - moment_targets(indices)).max())
+    return moment_residual(g.points, g.weights, moment_multi_indices(g.d, R, cap=cap))
 
 
 def grid_to_json(g: GridQuadrature) -> dict:

@@ -4,16 +4,20 @@
 basis Q of the passive columns M_P and the factor S with M_P S = Q, so a
 passive solve is S Q'b, its fit is Q Q'b, and the condition of M_P is never
 squared as in the normal equations.  A column enters by Gram-Schmidt and
-leaves by one Householder reflection, each O(nk) for k passive columns.  A
-column numerically dependent on the passive set, or whose coefficient would
-enter non-positive, is passed over for that step, as in Lawson & Hanson
-(1974, ch. 23).  On a large system, pricing is partial, as in simplex codes
-(Maros 2003): a full pass forms the gradient M'r over every column and
-keeps the ``_SHORTLIST`` largest, and the steps after it price only those,
-entering the best positive one.  When none of them can enter, a full pass
-follows.  Only a full pass may end the solve, so the KKT exit test covers
-every column.  Lawson and Hanson's convergence argument needs only that
-each entering column has a positive gradient.
+leaves by one Householder reflection, each O(nk) for k passive columns.
+An entering column's basis vector q_k only adds to the solve, so the
+passive solve z and its fit are updated in O(k + n), z <- [z; 0] +
+(q_k'b) S[:, k] and fit <- fit + (q_k'b) q_k; a full solve follows every
+removal, and every full pricing pass prices the residual of a freshly
+formed fit Q Q'b.  A column numerically dependent on the passive set, or
+whose coefficient would enter non-positive, is passed over for that step,
+as in Lawson & Hanson (1974, ch. 23).  On a large system, pricing is
+partial, as in simplex codes (Maros 2003): a full pass forms the gradient
+M'r over every column and keeps the ``_SHORTLIST`` largest, and the steps
+after it price only those, entering the best positive one.  When none of
+them can enter, a full pass follows.  Only a full pass may end the solve,
+so the KKT exit test covers every column.  Lawson and Hanson's convergence
+argument needs only that each entering column has a positive gradient.
 
 On top of it sit
 
@@ -23,7 +27,10 @@ On top of it sit
   symmetry.  The system is written in the orthonormal Hermite basis (row r
   is prod_l He_{r_l}(w_l) / sqrt(r_l!), right-hand side e_0), which has the
   exact solutions of the monomial system but is far better conditioned, so
-  Lawson-Hanson takes fewer steps; the rule is checked against every
+  Lawson-Hanson takes fewer steps.  ``grids.hermite_matrix`` returns it as
+  the transpose of a C-contiguous array, the layout Lawson-Hanson reads,
+  so nothing is copied.  The exponent vectors are listed once per build:
+  the solve takes the even ones, and the rule is checked against every
   monomial moment, and
 * ``reweight``: data-adaptive weights minimizing the empirical mean
   squared error of a ``GaussianKernel`` over sampled pairs, given as one
@@ -50,10 +57,10 @@ import numpy as np
 from .errors import ConstructionError, ConvergenceError
 from .grids import (
     GridQuadrature,
-    exactness_residual,
     fold_twins,
     hermite_matrix,
     moment_multi_indices,
+    moment_residual,
 )
 from .kernels import GaussianKernel
 
@@ -156,15 +163,23 @@ class _PassiveSet:
         self.k = k + 1
         return True
 
-    def enter(self, j: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Add column j and return the unpenalized passive solve and its fit;
-        None, and the set unchanged, if j is dependent on the passive columns
-        or its coefficient is not positive."""
+    def enter(self, j: int, z: np.ndarray, fit: np.ndarray
+              ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Add column j and return the passive solve and its fit, updated in
+        O(k + n) from z and fit, those of the passive set before: the new
+        basis vector q_k adds (q_k'b) S[:, k] to [z; 0] and (q_k'b) q_k to
+        the fit, where ``solve`` would re-form S Q'b and Q Q'b.  The new
+        coefficient is (q_k'b) S[k, k] either way, since S[k, :k] = 0.  None,
+        and the set unchanged, if j is dependent on the passive columns or
+        its coefficient is not positive."""
         if self.add(j):
-            z, fit = self.solve()
+            k = self.k
+            qb = self.Q[k - 1, -1]
+            z = np.append(z, 0.0)
+            z += qb * self.S[:k, k - 1]
             if z[-1] > 0.0:
-                return z, fit
-            self.remove(np.array([self.k - 1]))
+                return z, fit + qb * self.Q[k - 1, :-1]
+            self.remove(np.array([k - 1]))
         return None
 
     def remove(self, positions: np.ndarray) -> None:
@@ -203,8 +218,12 @@ class _PassiveSet:
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Minimizer z of ||M_P z - b|| and its fit M_P z: z = S Q'b and
         M_P z = Q Q'b."""
+        return self.S[:self.k, :self.k] @ self.Q[:self.k, -1], self.fit()
+
+    def fit(self) -> np.ndarray:
+        """The fit M_P z = Q Q'b of the passive solve, formed afresh."""
         Q = self.Q[:self.k]
-        return self.S[:self.k, :self.k] @ Q[:, -1], Q[:, -1] @ Q[:, :-1]
+        return Q[:, -1] @ Q[:, :-1]
 
 
 def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
@@ -264,6 +283,11 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
                 w[spent] = -np.inf
             else:
                 passes += 1
+                # the residual of a freshly formed fit: only this pass may
+                # end the solve, so its KKT test never rests on the
+                # updated fits of the steps since the last one
+                Ma = ps.fit()
+                r = b - Ma
                 w = MT @ r
                 w[ps.indices] = -np.inf
                 if K:
@@ -275,7 +299,7 @@ def _lawson_hanson(M: np.ndarray, b: np.ndarray, tol: float,
                         f"NNLS did not converge within {max_iter} iterations",
                         iterations=outer, best=solution())
                 j = i if cols is None else int(cols[i])
-                if (entered := ps.enter(j)) is not None:
+                if (entered := ps.enter(j, a[ps.indices], Ma)) is not None:
                     break
                 # Lawson & Hanson's rule: a column that cannot enter with a
                 # positive coefficient cannot lower the unpenalized objective,
@@ -338,17 +362,19 @@ def construct_poly_exact(d: int, R: int, D: int, seed: int) -> GridQuadrature:
         raise ValueError("R must be a non-negative even integer")
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((D, d))
-    indices = moment_multi_indices(d, R, even=True)
-    target = np.zeros(len(indices))
-    target[0] = 1.0  # indices[0] is r = 0, the weight sum
+    # every exponent vector, for the check; the solve takes the even ones
+    indices = moment_multi_indices(d, R)
+    even = [r for r in indices if sum(r) % 2 == 0]
+    target = np.zeros(len(even))
+    target[0] = 1.0  # even[0] is r = 0, the weight sum
     # with D >= #constraints an exact fit exists; drive the KKT pass hard
     # so the weight sum lands within the grid invariant
-    sol = nnls(hermite_matrix(points, indices), target, tol=1e-13)
+    sol = nnls(hermite_matrix(points, even), target, tol=1e-13)
     keep = sol.a > 0.0
     half = 0.5 * sol.a[keep]
     signed = (np.concatenate([points[keep], -points[keep]]),
               np.concatenate([half, half]))
-    residual = exactness_residual(GridQuadrature(*signed, normalized=False), R)
+    residual = moment_residual(*signed, indices)
     if residual > POLY_EXACT_TOL:
         raise ConstructionError(
             f"poly-exact construction reached residual {residual:.3e} "

@@ -407,6 +407,170 @@ class TestUniqueRows:
         assert not accepts(c) and not lexsort_check(c)
 
 
+def first_repeat(points):
+    """The pair (i, j), i < j, of the first row j equal to an earlier row i
+    after rounding, by a loop over the rows; None if all are distinct."""
+    seen = {}
+    for j, row in enumerate(np.round(points, MERGE_DECIMALS) + 0.0):
+        i = seen.setdefault(row.tobytes(), j)
+        if i != j:
+            return i, j
+    return None
+
+
+class TestDuplicateRowError:
+    """The duplicate-row error names the first row that repeats an earlier one."""
+
+    def refused_pair(self, points):
+        try:
+            GridQuadrature(points, np.full(len(points), 1.0 / len(points)))
+        except ValueError as exc:
+            assert str(exc).startswith("duplicate points after merging: rows ")
+            i, j = str(exc).split("rows ")[1].split(" are")[0].split(" and ")
+            return int(i), int(j)
+        return None
+
+    def test_names_the_first_repeat(self):
+        points = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 3.0],
+                           [0.0, 1.0 + 1e-14], [3.0, 3.0], [1.0, 2.0]])
+        assert self.refused_pair(points) == (1, 3)
+
+    def test_signed_zeros_repeat(self):
+        assert self.refused_pair(np.array([[0.5, 0.0], [0.5, -0.0]])) == (0, 1)
+
+    def test_zero_dimensional_rows(self):
+        # every row of a d = 0 grid is the empty row
+        assert self.refused_pair(np.zeros((2, 0))) == (0, 1)
+        assert self.refused_pair(np.zeros((5, 0))) == (0, 1)
+        assert GridQuadrature(np.zeros((1, 0)), np.ones(1)).count == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                         min_size=1, max_size=12),
+           nudge=st.sampled_from([0.0, 1e-14, 1e-9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_names_the_pair_of_the_row_loop(self, rows, nudge, seed):
+        points = np.array(rows, dtype=float) / 3.0
+        points += nudge * np.random.default_rng(seed).integers(-1, 2, points.shape)
+        assert self.refused_pair(points) == first_repeat(points)
+
+
+def loop_product_matrix(table, indices):
+    """The row loop that formed product matrices before the gathered form:
+    ``table`` is (d, degree + 1, D), and each row starts at 1 and takes its
+    factors of nonzero degree in coordinate order."""
+    out = np.empty((len(indices), table.shape[2]))
+    for row, r in enumerate(indices):
+        acc = out[row]
+        acc[:] = 1.0
+        for l, rl in enumerate(r):
+            if rl:
+                acc *= table[l, rl]
+    return out
+
+
+def loop_monomial_matrix(points, indices):
+    D, d = points.shape
+    powers = np.ones((d, max(max(r) for r in indices) + 1, D))
+    for p in range(1, powers.shape[1]):
+        powers[:, p] = powers[:, p - 1] * points.T
+    return loop_product_matrix(powers, indices)
+
+
+def loop_hermite_matrix(points, indices):
+    D, d = points.shape
+    table = np.ones((d, max(max(r) for r in indices) + 1, D))
+    x = points.T
+    for k in range(1, table.shape[1]):
+        table[:, k] = x * table[:, k - 1]
+        if k > 1:
+            table[:, k] -= math.sqrt(k - 1) * table[:, k - 2]
+            table[:, k] /= math.sqrt(k)
+    return loop_product_matrix(table, indices)
+
+
+def some_exponent_vectors(d, R, seed, count=150):
+    """Every exponent vector of total degree <= R when there are at most
+    ``count``, else the zero vector and ``count`` random ones, by degree."""
+    if math.comb(d + R, d) <= count:
+        return moment_multi_indices(d, R)
+    rng = np.random.default_rng(seed)
+    drawn = {(0,) * d}
+    for total in rng.integers(0, R + 1, count):
+        drawn.add(tuple(rng.multinomial(total, np.full(d, 1.0 / d)).tolist()))
+    return sorted(drawn)
+
+
+class TestProductMatrix:
+    """The gathered product matrices against the row loop, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 26))
+    def test_matches_the_row_loop(self, d):
+        for R in range(7):
+            indices = some_exponent_vectors(d, R, seed=100 * d + R)
+            rng = np.random.default_rng(d + 50 * R)
+            # more points than one block of the gather takes, and a remainder
+            points = rng.standard_normal((grids._block_rows(len(indices)) + 37, d))
+            for ours, loop in ((monomial_matrix, loop_monomial_matrix),
+                               (hermite_matrix, loop_hermite_matrix)):
+                M = ours(points, indices)
+                np.testing.assert_array_equal(M, loop(points, indices))
+                assert M.T.flags.c_contiguous
+
+    def test_random_table(self):
+        # factors of any value, signed zeros included, in any coordinates
+        rng = np.random.default_rng(7)
+        d, R, D = 6, 5, 300
+        table = rng.standard_normal((D, R + 1, d))
+        table[rng.random(table.shape) < 0.1] = -0.0
+        table[:, 0] = 1.0
+        indices = moment_multi_indices(d, R)
+        got = grids._product_matrix(table, indices)
+        want = loop_product_matrix(table.transpose(2, 1, 0), indices)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_no_rows_and_no_points(self):
+        assert grids._product_matrix(np.ones((4, 1, 3)), []).shape == (0, 4)
+        assert monomial_matrix(np.zeros((0, 3)), moment_multi_indices(3, 2)).shape \
+            == (10, 0)
+
+
+def unique_rows_subsample(L, d, D, seed):
+    """``subsample_dense_grid`` as it was, merging draws by np.unique(axis=0)."""
+    rule = gauss_hermite(L)
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(L, size=(D, d), replace=True, p=rule.weights)
+    rows, counts = np.unique(idx, axis=0, return_counts=True)
+    return rule.nodes[rows], counts / D
+
+
+class TestByteRowOrders:
+    """Orders taken from rows as byte strings against np.unique and np.lexsort."""
+
+    @pytest.mark.parametrize("L", [2, 8, 200])
+    @pytest.mark.parametrize("d,D", [(1, 50), (2, 3000), (5, 1000), (25, 1351)])
+    def test_subsample_matches_unique_rows(self, L, d, D):
+        for seed in range(3):
+            g = subsample_dense_grid(L, d, D, seed)
+            points, weights = unique_rows_subsample(L, d, D, seed)
+            np.testing.assert_array_equal(g.points, points)
+            np.testing.assert_array_equal(g.weights, weights)
+
+    @pytest.mark.parametrize("A,d", [(A, d) for A in range(8) for d in (2, 3)]
+                             + [(A, 4) for A in range(6)])
+    def test_sparse_points_in_lexsort_order(self, A, d):
+        g = sparse_grid(A, d)
+        np.testing.assert_array_equal(np.lexsort(g.points.T[::-1]),
+                                      np.arange(g.count))
+
+    @pytest.mark.parametrize("L,d", [(3, 2), (4, 3), (2, 6), (200, 1), (15, 2)])
+    def test_dense_points_in_lexsort_order(self, L, d):
+        g = dense_grid(L, d)
+        np.testing.assert_array_equal(np.lexsort(g.points.T[::-1]),
+                                      np.arange(g.count))
+
+
 def reference_fold(points, weights):
     """The set loop that folded reweighting pools before ``fold_twins``,
     with the weights summed: row by row, a row whose negation was kept

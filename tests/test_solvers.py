@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfeat import solvers
+from quadfeat import grids, solvers
 from quadfeat.errors import ConstructionError, ConvergenceError, GridSizeError
 from quadfeat.featuremaps import FeatureMap, rff
 from quadfeat.grids import (
@@ -263,7 +263,8 @@ class TestNnls:
 def poly_exact_system(d, R, D, seed):
     """The Hermite-basis moment system ``construct_poly_exact`` solves."""
     points = np.random.default_rng(seed).standard_normal((D, d))
-    M = hermite_matrix(points, moment_multi_indices(d, R, even=True))
+    even = [r for r in moment_multi_indices(d, R) if sum(r) % 2 == 0]
+    M = hermite_matrix(points, even)
     return M, np.eye(M.shape[0])[0]
 
 
@@ -278,6 +279,73 @@ def full_pricing_nnls(M, b, start=None):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solvers, "_SHORTLIST_FROM", math.inf)
         return solvers._lawson_hanson(M, b, 1e-10, None, start=start)
+
+
+class TestPassiveSolveUpdate:
+    """Each entry updates the passive solve and its fit in O(k + n)."""
+
+    def test_updates_match_the_full_solve_after_every_entry(self, monkeypatch):
+        # the (25, 2, 1351) poly-exact system: 380 entries, most of them
+        # between full passes, each compared with S Q'b and Q Q'b formed
+        # afresh; the largest differences measured were 3.2 and 1.0 eps
+        M, b = poly_exact_system(25, 2, 1351, 0)
+        eps = np.finfo(float).eps
+        enter = solvers._PassiveSet.enter
+        worst_z, worst_fit, entries = 0.0, 0.0, []
+
+        def checked_enter(self, j, z, fit):
+            nonlocal worst_z, worst_fit
+            out = enter(self, j, z, fit)
+            if out is not None:
+                z_full, fit_full = self.solve()
+                worst_z = max(worst_z, np.abs(out[0] - z_full).max()
+                              / np.abs(z_full).max())
+                worst_fit = max(worst_fit, np.abs(out[1] - fit_full).max()
+                                / np.linalg.norm(b))
+                entries.append(j)
+            return out
+
+        monkeypatch.setattr(solvers._PassiveSet, "enter", checked_enter)
+        sol = nnls(M, b, tol=1e-13)
+        assert len(entries) == sol.iterations > 4 * sol.passes
+        assert worst_z <= 16 * eps
+        assert worst_fit <= 16 * eps
+
+    def test_full_passes_price_a_fresh_residual(self, monkeypatch):
+        # updated fits made twice too large only mislead the shortlist steps:
+        # each full pass forms its residual afresh, so the solve still ends
+        # at the exact rule (priced on the updated fits, it stopped at an
+        # objective of 0.39)
+        M, b = poly_exact_system(25, 2, 1351, 0)
+        enter = solvers._PassiveSet.enter
+
+        def doubled_fit(self, j, z, fit):
+            out = enter(self, j, z, fit)
+            return None if out is None else (out[0], 2.0 * out[1])
+
+        monkeypatch.setattr(solvers._PassiveSet, "enter", doubled_fit)
+        sol = nnls(M, b, tol=1e-13)
+        assert sol.residual_norm <= 1e-12
+        on, off = kkt_residuals(M, b, sol.a, np.linalg.norm(M.T @ b))
+        assert on <= 1e-8
+        assert off <= 1e-8
+
+    def test_refused_entry_leaves_the_set(self):
+        # a column whose coefficient would enter negative is added, refused
+        # by the updated coefficient, and removed again
+        M = np.array([[1.0, 1.0], [0.0, 1.0]])
+        b = np.array([1.0, -1.0])  # both columns: coefficients 2 and -1
+        ps = solvers._PassiveSet(np.ascontiguousarray(M.T), b)
+        z, fit = ps.enter(0, np.zeros(0), np.zeros(2))
+        np.testing.assert_array_equal(z, [1.0])
+        np.testing.assert_array_equal(fit, [1.0, 0.0])
+        assert ps.enter(1, z, fit) is None
+        assert ps.indices.tolist() == [0]
+        np.testing.assert_array_equal(ps.solve()[0], [1.0])
+
+    def test_hermite_rows_reach_the_solver_uncopied(self):
+        M, _ = poly_exact_system(25, 2, 1351, 0)
+        assert np.shares_memory(np.ascontiguousarray(M.T), M)
 
 
 class TestShortlistPricing:
@@ -388,16 +456,31 @@ class TestConstructPolyExact:
 
     @pytest.mark.parametrize("d,R,rows", [(25, 2, 326), (16, 2, 137), (8, 4, 367),
                                           (10, 4, 771), (1, 6, 4), (3, 0, 1)])
-    def test_solved_system_has_the_even_degree_rows(self, d, R, rows):
-        even = moment_multi_indices(d, R, even=True)
-        assert len(even) == rows
-        assert even == [r for r in moment_multi_indices(d, R) if sum(r) % 2 == 0]
+    def test_solved_system_has_the_even_degree_rows(self, monkeypatch, d, R, rows):
+        systems = []
 
-    def test_even_rows_are_counted_against_the_cap(self):
+        def recording(M, b, **kwargs):
+            systems.append((M, b))
+            raise ConstructionError("recorded", residual=math.inf)
+
+        monkeypatch.setattr(solvers, "nnls", recording)
+        points = np.random.default_rng(0).standard_normal((30, d))
+        with pytest.raises(ConstructionError, match="recorded"):
+            construct_poly_exact(d, R, 30, seed=0)
+        (M, b), = systems
+        even = [r for r in moment_multi_indices(d, R) if sum(r) % 2 == 0]
+        assert len(even) == rows
+        np.testing.assert_array_equal(M, hermite_matrix(points, even))
+        np.testing.assert_array_equal(b, np.eye(rows)[0])
+
+    def test_every_moment_is_counted_against_the_cap(self, monkeypatch):
+        # the build lists all C(d + R, d) exponent vectors once, for the
+        # monomial check, so the cap applies to all of them, before any solve
+        monkeypatch.setattr(solvers, "nnls", None)
         with pytest.raises(GridSizeError) as exc:
-            moment_multi_indices(25, 2, cap=325, even=True)
-        assert exc.value.requested == 326
-        assert len(moment_multi_indices(25, 2, cap=326, even=True)) == 326
+            construct_poly_exact(25, 8, 10, seed=0)
+        assert exc.value.requested == math.comb(33, 8)
+        assert exc.value.cap == 1_000_000
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rules_the_full_system_could_not_reach(self, seed):
@@ -427,6 +510,26 @@ class TestConstructPolyExact:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             construct_poly_exact(2, 3, 10, seed=0)
+
+    def test_one_index_list_and_one_grid_check_per_build(self, monkeypatch):
+        # the exponent vectors are listed once, the solve takes the even
+        # ones, and the signed rule's finiteness and duplicate checks run once
+        calls = {"indices": 0, "rows": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for module in (solvers, grids):
+            monkeypatch.setattr(module, "moment_multi_indices",
+                                counted("indices", module.moment_multi_indices))
+        monkeypatch.setattr(grids, "_check_unique_rows",
+                            counted("rows", grids._check_unique_rows))
+        g = construct_poly_exact(4, 4, 300, seed=0)
+        assert calls == {"indices": 1, "rows": 1}
+        assert exactness_residual(g, 4) <= solvers.POLY_EXACT_TOL
 
     def test_unreachable_tolerance_reports_residual(self):
         # far too few candidates to satisfy the 11 even-degree constraints
@@ -464,7 +567,7 @@ class TestConstructPolyExact:
         assert abs(g.weights.sum() - 1.0) <= 1e-10
         fm = FeatureMap(g, "poly_exact", 0.5)
         assert g.count == 2 * fm.count
-        assert fm.count <= len(moment_multi_indices(d, R, even=True))
+        assert fm.count <= sum(sum(r) % 2 == 0 for r in moment_multi_indices(d, R))
 
     def test_weight_sum_gap_is_a_construction_error(self, monkeypatch):
         # moment residual 5e-10 passes POLY_EXACT_TOL, but a normalized rule
