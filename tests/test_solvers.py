@@ -285,7 +285,7 @@ class TestPassiveSolveUpdate:
     """Each entry updates the passive solve and its fit in O(k + n)."""
 
     def test_updates_match_the_full_solve_after_every_entry(self, monkeypatch):
-        # the (25, 2, 1351) poly-exact system: 380 entries, most of them
+        # the (25, 2, 1351) poly-exact system: 379 entries, most of them
         # between full passes, each compared with S Q'b and Q Q'b formed
         # afresh; the largest differences measured were 3.2 and 1.0 eps
         M, b = poly_exact_system(25, 2, 1351, 0)
