@@ -23,13 +23,15 @@ in cache, with one phase product per inner block.  Each
 block is written as exactly the bytes of ``np.savetxt(fh, Z, delimiter=",")``
 for that block's embedding ``Z``: numpy's default ``'%.18e'``, commas
 between values and a newline after each row.  ``_write_csv`` produces them
-with whole-array numpy operations, ``_CHUNK`` values at a time, in about
-0.11 s per 10^6 values where ``np.savetxt`` takes 0.69 s (one core of a
-2-core AVX512 VM).  Data that fit in one block give the bytes of one
-``np.savetxt`` of the whole feature matrix.  Past one block, a row can sit
-at another place in its inner block than it does in a whole-matrix
-embedding, and BLAS tiles the rows of a product by their place, so such
-rows can differ in the last bit.  None of 20 000 rows did for 16 columns
+with whole-array numpy operations, ``_CHUNK`` values at a time, as
+fixed-width records whose exponent field is one byte narrower in a chunk
+without a three-digit exponent, in about 0.074 s per 10^6 embedding
+values where ``np.savetxt`` takes 0.87 s (medians of 5 alternated runs
+on one core of a 2-core AVX512 VM).  Data that fit in one block give the
+bytes of one ``np.savetxt`` of the whole feature matrix.  Past one block,
+a row can sit at another place in its inner block than it does in a
+whole-matrix embedding, and BLAS tiles the rows of a product by their
+place, so such rows can differ in the last bit.  None of 20 000 rows did for 16 columns
 and 500 points, with one or two BLAS threads; 30 of 195 rows did for 40
 columns and 500 points, embedded 5 places off their block position.
 """
@@ -168,20 +170,28 @@ def cmd_embed(args) -> int:
 
 
 # '%.18e' text of one float64, a comma or newline after it, as a fixed-width
-# record; field dN ends with the N-th of the 18 digits after the point.
-# Bytes a value does not use (the sign of a positive value, the hundreds
-# digit of a two-digit exponent) stay NUL and are cut before writing.
-_RECORD = np.dtype({
-    "names": ["sign", "lead", "point", "d2", "d6", "d10", "d14", "d18",
-              "e", "esign", "e100", "e10", "sep"],
-    "formats": ["u1", "u1", "u1", "<u2", "<u4", "<u4", "<u4", "<u4",
-                "u1", "u1", "u1", "<u2", "u1"],
-    "offsets": [0, 1, 2, 3, 5, 9, 13, 17, 21, 22, 23, 24, 26],
-    "itemsize": 27})
+# record; field dN ends with the N-th of the 18 digits after the point, and
+# ``exp`` holds the exponent's whole text: 'e-05' in the 4 bytes of a chunk
+# whose exponents all have two digits, 'e-05' and 'e+100' in the 5 bytes of
+# any other chunk.  Bytes a value does not use (the sign of a positive value,
+# the fifth exponent byte of a two-digit exponent) stay NUL and are cut
+# before writing.
+def _record(width: int) -> np.dtype:
+    return np.dtype({
+        "names": ["sign", "lead", "point", "d2", "d6", "d10", "d14", "d18",
+                  "exp", "sep"],
+        "formats": ["u1", "u1", "u1", "<u2", "<u4", "<u4", "<u4", "<u4",
+                    f"S{width}", "u1"],
+        "offsets": [0, 1, 2, 3, 5, 9, 13, 17, 21, 21 + width],
+        "itemsize": 22 + width})
+
+
+_RECORDS = (_record(4), _record(5))  # indexed by "some exponent has 3 digits"
 _CHUNK = 2**14  # values formatted at once; their temporaries stay in cache
 # 10^k for k = 18 - e, |x| in [1e-280, 1e280] and e up to one off; the split
 # of 10^300 still stays finite
 _KMIN, _KMAX = -265, 300
+_E0 = 18 - _KMIN  # the tables' index of e = 0; e is at _E0 - e
 
 
 def _split(a):
@@ -193,9 +203,15 @@ def _split(a):
 
 @functools.cache
 def _tables():
-    """Dekker-split double-double 10^k for k in [_KMIN, _KMAX] (rows: high
-    half of the leading double, its low half, the trailing double), and the
-    ASCII digits of 0..9999 as '<u4' and of 0..99 as '<u2'."""
+    """The tables of the writer, all indexed as noted:
+
+    - Dekker-split double-double 10^k for k in [_KMIN, _KMAX], as three
+      arrays (high half of the leading double, its low half, the trailing
+      double), at k - _KMIN;
+    - the exponent text of e = 18 - k at the same index, _E0 - e, as 'S4'
+      (read only where |e| < 100) and 'S5';
+    - the ASCII digits of 0..9999 as '<u4' and of 0..99 as '<u2'.
+    """
     pow10 = []
     for k in range(_KMIN, _KMAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -203,46 +219,55 @@ def _tables():
         n, d = hi.as_integer_ratio()
         pow10.append((hi, (num * d - n * den) / (den * d)))
     hi, lo = np.array(pow10).T
+    exponents = np.array([f"e{_E0 - i:+03d}".encode()
+                          for i in range(_KMAX - _KMIN + 1)], "S5")
     digits = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(),
                            "<u4")
-    return np.stack(_split(hi) + (lo,)), digits, (digits[:100] >> 16).astype("<u2")
+    return (_split(hi) + (lo,), (exponents.astype("S4"), exponents),
+            digits, (digits[:100] >> 16).astype("<u2"))
 
 
-def _scaled(a, k):
-    """a * 10^k as an unevaluated sum p + lo, within a few 1e-32 relative:
-    Dekker's exact two-product against the leading double of 10^k, plus a
-    times its trailing double."""
-    bh, bl, c = _tables()[0].take(k - _KMIN, axis=1)
+def _scaled(a, i):
+    """a * 10^k, i = k - _KMIN, as an unevaluated sum p + lo, within a few
+    1e-32 relative: Dekker's exact two-product against the leading double of
+    10^k, plus a times its trailing double."""
+    bh, bl, c = (t[i] for t in _tables()[0])
     p = a * (bh + bl)
     ah, al = _split(a)
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err + a * c
 
 
-def _format(v, rec) -> np.ndarray:
-    """Fill every field of ``rec`` but the constants and ``sep`` with the
-    '%.18e' text of ``v``; returns the indices left for ``'%.18e' % x``.
+def _format(v, buf: np.ndarray) -> np.ndarray:
+    """The '%.18e' texts of ``v`` as records in the uint8 buffer ``buf``:
+    every field filled but ``sep``, in the narrower record unless some
+    value's exponent has three digits.
 
     The 19 significant digits are m = round(|x| 10^(18 - e)) for the decimal
-    exponent e.  Left out: inf, nan, |x| outside [1e-280, 1e280] (nonzero),
-    where 10^(18 - e) or Dekker's split would leave the float range, and
-    fractions within 1e-6 of a half, exact ties included, which the
-    double-double cannot round with certainty.
+    exponent e.  Written by Python's ``'%.18e' % x`` instead: inf, nan,
+    |x| outside [1e-280, 1e280] (nonzero), where 10^(18 - e) or Dekker's
+    split would leave the float range, and fractions within 1e-6 of a half,
+    exact ties included, which the double-double cannot round with
+    certainty.
     """
-    digits4, digits2 = _tables()[1:]
+    _, exponents, digits4, digits2 = _tables()
     a = np.abs(v)
     zero = a == 0
     ok = (a >= 1e-280) & (a <= 1e280)
     a = np.where(ok, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    # log10 can be one off next to a power of ten; the unrounded product
-    # decides, since the rounded one can cross 1e18 or 1e19 where it does not
-    p, lo = _scaled(a, 18 - e)
-    step = ((p - 1e19) + lo >= 0).astype(np.int64) - ((p - 1e18) + lo < 0)
-    moved = np.flatnonzero(step)
+    i = _E0 - np.floor(np.log10(a)).astype(np.intp)
+    p, lo = _scaled(a, i)
+    # log10 can be one off next to a power of ten, and only there; so only a
+    # product outside [1e18, 1e19) or within 1e-7 of either end is checked.
+    # The unrounded product decides, since the rounded one can cross 1e18 or
+    # 1e19 where it does not
+    near = np.flatnonzero((p < 1.0000001e18) | (p > 0.9999999e19))
+    pn, ln = p[near], lo[near]
+    step = ((pn - 1e19) + ln >= 0).astype(np.intp) - ((pn - 1e18) + ln < 0)
+    moved, step = near[step != 0], step[step != 0]
     if moved.size:
-        e[moved] += step[moved]
-        p[moved], lo[moved] = _scaled(a[moved], 18 - e[moved])
+        i[moved] -= step
+        p[moved], lo[moved] = _scaled(a[moved], i[moved])
     # p is an integer below 2^64; the int64 round of lo wraps into uint64.
     # m < 10^19: only a double within 5e-20 relative below a power of ten
     # would round up to it, and none in range is that close
@@ -250,19 +275,27 @@ def _format(v, rec) -> np.ndarray:
     frac = lo - fl
     m = p.astype(np.uint64) + (fl + (frac > 0.5)).astype(np.int64).view(np.uint64)
     m[zero] = 0  # zeros went through as 1.0, so their e is 0 already
+    fallback = np.flatnonzero(~(ok | zero) | (np.abs(frac - 0.5) < 1e-6))
+    texts = [("%.18e" % v[j]).encode() for j in fallback]
+    # |e| >= 100, here or in a text: 'e+100' has 4 bytes after the 'e'
+    wide = bool(max(i.max() - _E0, _E0 - i.min()) >= 100
+                or any(len(t.partition(b"e")[2]) > 3 for t in texts))
+    rec = buf[:v.size * _RECORDS[wide].itemsize].view(_RECORDS[wide])
     for name in ("d18", "d14", "d10", "d6"):
         q = m // np.uint64(10**4)
-        rec[name] = digits4[m - q * np.uint64(10**4)]
+        rec[name] = digits4[(m - q * np.uint64(10**4)).view(np.intp)]
         m = q
     q = m // np.uint64(100)
-    rec["d2"] = digits2[m - q * np.uint64(100)]
+    rec["d2"] = digits2[(m - q * np.uint64(100)).view(np.intp)]
     rec["lead"] = q + ord("0")
+    rec["point"] = ord(".")
     rec["sign"] = np.signbit(v) * np.uint8(ord("-"))
-    rec["esign"] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    rec["e100"] = np.where(e >= 100, e // 100 + ord("0"), 0)
-    rec["e10"] = digits2[e % 100]
-    return np.flatnonzero(~(ok | zero) | (np.abs(frac - 0.5) < 1e-6))
+    rec["exp"] = exponents[wide][i]
+    raw = buf[:rec.nbytes].reshape(-1, rec.itemsize)
+    for j, text in zip(fallback, texts):
+        raw[j, :-1] = 0
+        raw[j, :len(text)] = np.frombuffer(text, np.uint8)
+    return rec
 
 
 def _write_csv(fh, Z: np.ndarray) -> None:
@@ -274,16 +307,10 @@ def _write_csv(fh, Z: np.ndarray) -> None:
         fh.write(b"\n" * Z.shape[0])
         return
     flat = np.ascontiguousarray(Z, dtype=float).ravel()
-    buf = np.empty(min(_CHUNK, flat.size), _RECORD)
-    raw = buf.view(np.uint8).reshape(-1, _RECORD.itemsize)
+    buf = np.empty(min(_CHUNK, flat.size) * _RECORDS[1].itemsize, np.uint8)
     for start in range(0, flat.size, _CHUNK):
-        v = flat[start:start + _CHUNK]
-        rec = buf[:v.size]
-        rec["point"], rec["e"], rec["sep"] = ord("."), ord("e"), ord(",")
-        for i in _format(v, rec):
-            text = ("%.18e" % v[i]).encode()
-            raw[i, :-1] = 0
-            raw[i, :len(text)] = np.frombuffer(text, np.uint8)
+        rec = _format(flat[start:start + _CHUNK], buf)
+        rec["sep"] = ord(",")
         rec["sep"][(cols - 1 - start) % cols::cols] = ord("\n")
         fh.write(rec.tobytes().replace(b"\0", b""))
 

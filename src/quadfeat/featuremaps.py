@@ -36,9 +36,9 @@ one term of summed weight: a map folds its rule's twins once
 left.  A poly-exact rule [P; -P], [a/2; a/2] has D = |P|, and a
 subsampled grid at small d loses the twins it drew.  Dense and Smolyak
 maps are not folded: their D is their point count, and their factored
-estimate folds each one-dimensional rule instead.  Read back from JSON,
-which keeps their method tag but not their structure record, they keep
-that D and sum over their points.
+estimate folds each one-dimensional rule instead.  Their JSON files keep
+the structure record, so a map read back estimates by the same factored
+path, bitwise.
 
 A map caches one array for its frequencies: half of them, w_i / 2, as a
 read-only C-contiguous (d, D) array (``_half_frequencies``; halving is
@@ -94,6 +94,7 @@ from .grids import (
     fold_twins,
     grid_from_json,
     grid_to_json,
+    restore_structure,
     structured_cos_sum,
     subsample_dense_grid,
 )
@@ -197,11 +198,9 @@ class FeatureMap(_MapShell):
         """The points and weights of the estimate's cosine terms: the first
         of each pair of twins w, -w with the summed weight, since
         a cos(w'u) + b cos(-w'u) = (a + b) cos(w'u), and the grid's own
-        arrays when it has no twins, a ``structure`` record, or the
-        ``dense`` or ``sparse`` tag, which JSON keeps where it drops the
-        record, so such a map read back keeps its point count D."""
+        arrays when it has no twins or has a ``structure`` record."""
         g = self.grid
-        if g.structure is None and self.method not in ("dense", "sparse"):
+        if g.structure is None:
             keep, weights = fold_twins(g.points, g.weights)
             if keep.size < g.count:
                 return g.points[keep], weights
@@ -534,11 +533,17 @@ def feature_map_to_json(fm: FeatureMap) -> dict:
 
 def feature_map_from_json(payload: dict) -> FeatureMap:
     """The map of a ``feature_map_to_json`` payload; a bad field raises
-    ConfigError keyed by the field, as in ``grid_from_json``."""
+    ConfigError keyed by the field, as in ``grid_from_json``.  A dense or
+    sparse map's file without a ``structure`` record, as written before
+    grids kept theirs, gets the record whose rule has its d and D points,
+    checked against its points as a stored record is."""
     field = functools.partial(config_field, payload, where="feature map file")
     grid = grid_from_json(payload)
     gamma = field("gamma", lambda g: GaussianKernel(_number(g)).gamma)
-    return field("method", lambda m: FeatureMap(grid, m, gamma))
+    fm = field("method", lambda m: FeatureMap(grid, m, gamma))
+    if fm.method in ("dense", "sparse") and grid.structure is None:
+        fm = FeatureMap(restore_structure(grid, fm.method), fm.method, gamma)
+    return fm
 
 
 def save_feature_map(fm: FeatureMap, path: str) -> None:

@@ -19,9 +19,10 @@ level-A grid is the 2^A-point Gauss rule itself.
 ``structured_cos_sum`` evaluates the estimate sum_i a_i cos(w_i'v) from the
 ``structure`` record as sums of products of one-dimensional cosine sums,
 without touching the points; each one-dimensional sum folds the rule's
-mirror pairs, so an L-point rule costs floor(L/2) cosines.  The record is
-not serialized, and every grid derived from another (subsampled,
-reweighted, loaded) carries none.  Every other rule is folded by
+mirror pairs, so an L-point rule costs floor(L/2) cosines.  JSON keeps
+the record, and a grid read back is rebuilt from it and checked against
+the stored points; every grid derived from another (subsampled,
+reweighted) carries none.  Every other rule is folded by
 ``fold_twins`` wherever it is estimated or refit: cos is even, so a point
 w and its twin -w are one cosine term of summed weight, found by one sort
 of the rows up to sign.  A poly-exact rule [P; -P], [a/2; a/2] folds to
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridSizeError, config_field
-from .quad1d import gauss_hermite, normal_moment
+from .quad1d import MAX_RULE_SIZE, gauss_hermite, normal_moment
 
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_CONSTRAINT_CAP = 1_000_000
@@ -219,6 +220,16 @@ def _concat(parts):
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
+def _point_count(structure: tuple, d: int) -> int:
+    """The point count of ``structure``'s rule in d dimensions: the sizes of
+    its tensor blocks of total level A - d < r <= A."""
+    kind, level = structure
+    sizes, A = (([level], 0) if kind == "dense"
+                else ([2**m for m in range(level + 1)], level))
+    counts = _by_level([1] + [0] * A, d, lambda c, m, j: c * sizes[m], sum)
+    return sum(counts[max(0, A - d + 1):])
+
+
 def _structured_grid(structure: tuple, d: int, cap: int,
                      provenance: str) -> GridQuadrature:
     """The rule of ``structure`` in d dimensions, checked against ``cap``: the
@@ -226,9 +237,7 @@ def _structured_grid(structure: tuple, d: int, cap: int,
     level r weighted by (-1)^(A - r) C(d - 1, A - r), points lexicographic."""
     rules, A = _family(structure)
     lowest = max(0, A - d + 1)
-    counts = _by_level([1] + [0] * A, d,
-                       lambda c, m, j: c * rules[m].point_count, sum)
-    total = sum(counts[lowest:])
+    total = _point_count(structure, d)
     if total > cap:
         raise GridSizeError(f"{provenance} would need {total} points (cap {cap})",
                             requested=total, cap=cap)
@@ -493,7 +502,9 @@ def exactness_residual(
 
 
 def grid_to_json(g: GridQuadrature) -> dict:
-    """The grid as a JSON object; ``"D"`` is the point count."""
+    """The grid as a JSON object; ``"D"`` is the point count, and a dense or
+    Smolyak grid adds its ``structure`` record as ``["dense", L]`` or
+    ``["sparse", A]``."""
     payload = {
         "d": g.d,
         "D": g.count,
@@ -502,7 +513,52 @@ def grid_to_json(g: GridQuadrature) -> dict:
         "nonnegative": g.nonnegative,
         "provenance": g.provenance,
     }
+    if g.structure is not None:
+        payload["structure"] = list(g.structure)
     return payload
+
+
+def restore_structure(g: GridQuadrature, kind: str) -> GridQuadrature:
+    """``g`` with the record ``(kind, level)``, kind "dense" or "sparse", whose
+    rule has g's dimension and point count, checked as ``grid_from_json``
+    checks a stored record; for files written before grids kept theirs.  No
+    such level raises ConfigError keyed ``structure``."""
+    # every level whose rules exist: L <= MAX_RULE_SIZE, or 2^A <= it
+    levels = (range(1, MAX_RULE_SIZE + 1) if kind == "dense"
+              else range(MAX_RULE_SIZE.bit_length()))
+    if g.d >= 1:
+        for level in levels:
+            count = _point_count((kind, level), g.d)
+            if count == g.count:
+                return _rebuilt([kind, level], g.points, g.weights)
+            if count > g.count:
+                break
+    raise ConfigError(f"grid file: no {kind} grid in d={g.d} has {g.count} points",
+                      key="structure")
+
+
+def _rebuilt(structure, points: np.ndarray, weights: np.ndarray) -> GridQuadrature:
+    """The grid of a ``structure`` record, which must give exactly the stored
+    points and weights; a record it cannot build or whose rule differs
+    raises ConfigError keyed ``structure``."""
+    def refuse(why):
+        return ConfigError(f"grid file: field 'structure': {structure!r} {why}",
+                           key="structure")
+    if not (isinstance(structure, list) and len(structure) == 2
+            and structure[0] in ("dense", "sparse")
+            and type(structure[1]) is int):
+        raise refuse("is not [\"dense\", L] or [\"sparse\", A]")
+    kind, level = structure
+    build = dense_grid if kind == "dense" else sparse_grid
+    try:  # a record of more points than stored fails the cap before building
+        g = build(level, points.shape[1], cap=points.shape[0])
+    except (ValueError, GridSizeError) as exc:
+        raise refuse(f"builds no grid here: {exc}") from None
+    if not (g.points.shape == points.shape
+            and g.points.tobytes() == points.tobytes()
+            and g.weights.tobytes() == weights.tobytes()):
+        raise refuse("gives other points or weights than the file's")
+    return g
 
 
 def _finite_array(value) -> np.ndarray:
@@ -522,7 +578,10 @@ def _point_rows(value) -> np.ndarray:
 def grid_from_json(payload: dict) -> GridQuadrature:
     """The grid of a ``grid_to_json`` payload.  A missing, ill-typed or
     non-finite field, a repeated point, or a ``d``, ``D`` or ``weights``
-    unlike the points raises ConfigError.  Other keys are ignored:
+    unlike the points raises ConfigError.  A ``structure`` record is rebuilt
+    by ``dense_grid`` or ``sparse_grid`` and must give the stored points and
+    weights bit for bit, or ConfigError keyed ``structure`` is raised; the
+    rebuilt grid, record included, is returned.  Other keys are ignored:
     ``nonnegative`` is read off the weights, and the sign-symmetry flag of
     older poly-exact files is redundant, since ``fold_twins`` finds their
     twins."""
@@ -537,6 +596,8 @@ def grid_from_json(payload: dict) -> GridQuadrature:
         if value != size:
             raise ConfigError(f"grid file: field {key!r} gives {value}, but the "
                               f"points give {size}", key=key)
+    if "structure" in payload:
+        return _rebuilt(payload["structure"], points, weights)
     try:
         return GridQuadrature(points, weights,
                               provenance=str(payload.get("provenance", "")),

@@ -151,6 +151,20 @@ def _with_neighbours(values):
                            np.nextafter(values, np.inf)])
 
 
+def _two_digit_exponents(n):
+    """n values of either sign, magnitudes 1e-99 to 1e99, as embeddings have."""
+    rng = np.random.default_rng(n)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-99, 99, n)
+
+
+def _chunk_widths(Z):
+    """The record size the writer takes for each chunk of Z's values."""
+    flat = np.ascontiguousarray(Z).ravel()
+    buf = np.empty(cli._CHUNK * 27, np.uint8)
+    return [cli._format(flat[start:start + cli._CHUNK], buf).itemsize
+            for start in range(0, flat.size, cli._CHUNK)]
+
+
 class TestWriteCsv:
     """``cli._write_csv`` writes np.savetxt's default bytes, value by value."""
 
@@ -193,6 +207,48 @@ class TestWriteCsv:
     def test_no_columns(self, n):
         # np.savetxt writes an empty line per row
         Z = np.empty((n, 0))
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    # rows of 1000 values, as the benchmark's embeddings have: the second
+    # chunk starts inside row 16, and row 20 ends inside it
+    CHUNK_PLACES = {"chunk_first": cli._CHUNK, "chunk_middle": cli._CHUNK * 3 // 2,
+                    "chunk_last": 2 * cli._CHUNK - 1, "row_last": 20_999}
+
+    @pytest.mark.parametrize("place", CHUNK_PLACES)
+    @pytest.mark.parametrize("lone", [1e100, -1e-100, np.nextafter(-1e280, -np.inf),
+                                      5e-324],
+                             ids=["1e100", "-1e-100", "fallback_-1e280", "subnormal"])
+    def test_one_three_digit_exponent_widens_its_chunk_alone(self, lone, place):
+        Z = _two_digit_exponents(40_000).reshape(40, 1000)
+        Z.flat[self.CHUNK_PLACES[place]] = lone
+        assert _chunk_widths(Z) == [26, 27, 26]
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    def test_consecutive_chunks_switch_width_both_ways(self):
+        Z = _two_digit_exponents(4 * cli._CHUNK).reshape(-1, 512)
+        Z.flat[cli._CHUNK + 7] = -1e-250
+        Z.flat[3 * cli._CHUNK + 100] = 2e301
+        assert _chunk_widths(Z) == [26, 27, 26, 27]
+        assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    @pytest.mark.parametrize("value", _with_neighbours([1e99, 1e100, 1e-99, 1e-100]))
+    def test_edges_of_two_digit_exponents(self, value):
+        for sign in (1.0, -1.0):
+            Z = _two_digit_exponents(cli._CHUNK).reshape(128, 128)
+            Z[70, 5] = sign * value
+            assert _written_bytes(Z) == _savetxt_bytes(Z)
+
+    @pytest.mark.parametrize("extra,width", [
+        ([0.0, -0.0], 26),
+        ([0.0, -0.0, 1e100], 27),
+        ([5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0), -0.0], 27),
+    ], ids=["zeros_narrow", "zeros_wide", "subnormals_wide"])
+    def test_zeros_and_subnormals_in_each_layout(self, extra, width):
+        # a subnormal has a three-digit exponent, so only the wide layout holds one
+        Z = _two_digit_exponents(cli._CHUNK).reshape(64, 256)
+        Z[0, :len(extra)] = extra
+        Z[-1, -len(extra):] = extra
+        assert _chunk_widths(Z) == [width]
         assert _written_bytes(Z) == _savetxt_bytes(Z)
 
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 materialized sum over their points, the generic blocked estimator, and the
 half-angle cosine both of them use."""
 import functools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadfeat.errors import ConfigError
 from quadfeat.featuremaps import (
     MAX_DOUBLINGS,
     FeatureMap,
@@ -81,13 +83,64 @@ class TestStructureRecord:
     def test_subsampling_drops_it(self):
         assert subsample_grid(dense_grid(4, 3), 50, seed=0).structure is None
 
-    def test_json_round_trip_drops_it(self):
+    def test_json_round_trip_keeps_it(self):
         g = sparse_grid(2, 3)
-        payload = grid_to_json(g)
+        payload = json.loads(json.dumps(grid_to_json(g)))
+        assert payload["structure"] == ["sparse", 2]
+        back = grid_from_json(payload)
+        assert back.structure == ("sparse", 2) and back.provenance == g.provenance
+        assert back.points.tobytes() == g.points.tobytes()
+        assert back.weights.tobytes() == g.weights.tobytes()
+        assert "structure" not in grid_to_json(rff(3, 10, 0.5, seed=0).grid)
+
+    @pytest.mark.parametrize("method,make", [
+        ("sparse", lambda: sparse_grid(2, 25)),
+        ("dense", lambda: dense_grid(4, 5)),
+    ], ids=["sparse-2-25", "dense-4-5"])
+    def test_reloaded_maps_estimate_bitwise(self, method, make):
+        # with the record and, as files written before it was kept, without
+        fm = FeatureMap(make(), method, 0.5)
+        payload = json.loads(json.dumps(feature_map_to_json(fm)))
+        U = displacement_sample(fm.d, 1.0, 2000, seed=37)
+        for older in (False, True):
+            if older:
+                del payload["structure"]
+            back = feature_map_from_json(payload)
+            assert back.grid.structure == fm.grid.structure
+            assert (back.method, back.gamma, back.count) == (fm.method, fm.gamma, fm.count)
+            assert back.grid.points.tobytes() == fm.grid.points.tobytes()
+            assert back.approx(U).tobytes() == fm.approx(U).tobytes()
+
+    @pytest.mark.parametrize("older", [False, True], ids=["record", "older"])
+    def test_a_perturbed_point_raises(self, older):
+        payload = json.loads(json.dumps(feature_map_to_json(
+            FeatureMap(dense_grid(4, 3), "dense", 0.5))))
+        if older:
+            del payload["structure"]
+        row = payload["points"][17]
+        row[1] = math.nextafter(row[1], math.inf)
+        with pytest.raises(ConfigError) as exc:
+            feature_map_from_json(payload)
+        assert exc.value.key == "structure"
+
+    @pytest.mark.parametrize("record", [
+        ["dense", 5], ["sparse", 2], ["dense", "4"], ["dense", 4.0], ["dense"],
+        ["tensor", 4], ["dense", 300], ["dense", 0], ["sparse", -1],
+    ])
+    def test_a_record_that_does_not_give_the_points_raises(self, record):
+        payload = {**grid_to_json(dense_grid(4, 3)), "structure": record}
+        with pytest.raises(ConfigError) as exc:
+            grid_from_json(payload)
+        assert exc.value.key == "structure"
+
+    def test_an_older_file_of_no_such_grid_raises(self):
+        # 40 points are no L^3 of a dense grid in three dimensions
+        payload = feature_map_to_json(FeatureMap(subsample_grid(dense_grid(4, 3), 40, 0),
+                                                 "dense", 0.5))
         assert "structure" not in payload
-        assert grid_from_json(payload).structure is None
-        fm = FeatureMap(dense_grid(3, 2), "dense", 0.5)
-        assert feature_map_from_json(feature_map_to_json(fm)).grid.structure is None
+        with pytest.raises(ConfigError) as exc:
+            feature_map_from_json(payload)
+        assert exc.value.key == "structure"
 
     def test_reweighting_drops_it(self):
         ds = synthetic_mixture(200, seed=3, d=2, components=2)
